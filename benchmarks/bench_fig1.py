@@ -13,7 +13,7 @@ import itertools
 import pytest
 
 from repro.network import LogicNetwork
-from repro.core import FlowConfig, run_flow
+from repro.pipeline import Pipeline
 from repro.sfq import PulseSimulator, simulate_pulse_train, waveform_ascii
 
 FIG1B_STIMULUS = [
@@ -43,7 +43,7 @@ def _fig1c_flow():
     a, b, c = (net.add_pi(x) for x in "abc")
     net.add_po(net.add_xor(a, b, c), "sum")
     net.add_po(net.add_maj3(a, b, c), "carry")
-    return run_flow(net, FlowConfig(n_phases=4, use_t1=True, verify="none"))
+    return Pipeline.standard(n_phases=4, use_t1=True, verify="none").run(net)
 
 
 def test_fig1c_full_adder(benchmark):

@@ -16,7 +16,7 @@ Run with::
 """
 
 from repro.circuits import build
-from repro.core import FlowConfig, run_flow
+from repro.pipeline import Pipeline
 from repro.sfq import EnergyModel, estimate_energy
 from repro.sfq.clock_tree import clock_overhead_ratio, plan_clock_network, total_area_with_clock
 
@@ -29,9 +29,9 @@ def main() -> None:
     for name in BENCHES:
         net = build(name, "ci")
         for label, use_t1 in (("4phi", False), ("T1", True)):
-            res = run_flow(
-                net, FlowConfig(n_phases=4, use_t1=use_t1, verify="none")
-            )
+            res = Pipeline.standard(
+                n_phases=4, use_t1=use_t1, verify="none"
+            ).run(net)
             nl = res.netlist
             with_clock = total_area_with_clock(nl)
             rep = estimate_energy(nl, frequency_ghz=20.0)
@@ -48,7 +48,7 @@ def main() -> None:
         print()
 
     net = build("adder", "ci")
-    res = run_flow(net, FlowConfig(n_phases=4, use_t1=True, verify="none"))
+    res = Pipeline.standard(n_phases=4, use_t1=True, verify="none").run(net)
     print("clock plan for the T1 adder:")
     print(" ", plan_clock_network(res.netlist).summary())
     print("\nnote: static bias power dominates conventional RSFQ "

@@ -281,11 +281,19 @@ def make_parser() -> argparse.ArgumentParser:
     list_p.set_defaults(fn=_cmd_list)
 
     def add_flow_args(p_):
-        """The flow knobs shared by ``run`` and ``submit``."""
+        """The flow knobs shared by ``run`` and ``submit``.
+
+        Defaults come from ``Pipeline.standard``'s signature, except
+        ``--t1``: T1 detection is opt-in on the command line.
+        """
+        from repro.service.protocol import PIPELINE_DEFAULTS as defaults
+
         p_.add_argument(
             "benchmark", help="benchmark name or .blif/.bench file"
         )
-        p_.add_argument("--phases", "-n", type=int, default=4)
+        p_.add_argument(
+            "--phases", "-n", type=int, default=defaults["n_phases"]
+        )
         p_.add_argument(
             "--t1", action="store_true", help="enable T1 detection"
         )
@@ -294,9 +302,10 @@ def make_parser() -> argparse.ArgumentParser:
             help="benchmark size preset",
         )
         p_.add_argument(
-            "--verify", choices=("none", "cec", "full"), default="cec"
+            "--verify", choices=("none", "cec", "full"),
+            default=defaults["verify"],
         )
-        p_.add_argument("--sweeps", type=int, default=4)
+        p_.add_argument("--sweeps", type=int, default=defaults["sweeps"])
         p_.add_argument("--no-po-balance", action="store_true")
         p_.add_argument("--no-share", action="store_true",
                         help="per-edge DFF chains (no net sharing)")

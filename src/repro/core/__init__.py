@@ -1,9 +1,8 @@
 """The paper's contribution: the three-stage T1-aware mapping flow.
 
 The stage algorithms (detection, phase assignment, DFF insertion) and
-the Table-I reporting live here; flow *orchestration* moved to
-:mod:`repro.pipeline`, and ``run_flow`` / ``FlowConfig`` remain as thin
-shims over it (see :mod:`repro.core.flow`).
+the Table-I reporting live here; flow *orchestration* lives in
+:mod:`repro.pipeline` (``Pipeline.standard(...).run(net)``).
 """
 
 from repro.core.dff_insertion import (
@@ -14,12 +13,6 @@ from repro.core.dff_insertion import (
     plan_t1_inputs_cp,
     t1_input_cost,
     t1_slot_cost,
-)
-from repro.core.flow import (
-    FlowConfig,
-    FlowResult,
-    run_baselines_and_t1,
-    run_flow,
 )
 from repro.core.phase_assignment import (
     HeuristicReport,
@@ -55,8 +48,6 @@ from repro.core.t1_matching import (
 
 __all__ = [
     "DetectionResult",
-    "FlowConfig",
-    "FlowResult",
     "HeuristicReport",
     "InsertionReport",
     "OutputMatch",
@@ -83,8 +74,6 @@ __all__ = [
     "plan_t1_inputs",
     "plan_t1_inputs_cp",
     "polarities_matching",
-    "run_baselines_and_t1",
-    "run_flow",
     "select_candidates",
     "t1_input_cost",
     "t1_lower_bound",

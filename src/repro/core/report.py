@@ -13,9 +13,14 @@ The paper's table columns, per benchmark:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence, Union
 
-from repro.core.flow import FlowResult
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.pipeline.batch import ResumedResult
+    from repro.pipeline.context import FlowContext
+
+#: one finished flow run: fresh, or replayed from a batch journal
+FlowRun = Union["FlowContext", "ResumedResult"]
 
 
 def fmt_thousands(value: int) -> str:
@@ -67,7 +72,8 @@ class TableRow:
         return self.depth_t1 / self.depth_nphi if self.depth_nphi else float("nan")
 
     @staticmethod
-    def from_results(name: str, results: Dict[str, FlowResult]) -> "TableRow":
+    def from_results(name: str, results: Dict[str, FlowRun]) -> "TableRow":
+        """Build a row from the ``"1phi"``/``"nphi"``/``"t1"`` flow runs."""
         one, multi, t1 = results["1phi"], results["nphi"], results["t1"]
         return TableRow(
             name=name,

@@ -1,7 +1,7 @@
-"""repro.pipeline — the composable pass-manager flow API (primary API).
+"""repro.pipeline — the composable pass-manager flow API.
 
-The monolithic ``repro.core.flow.run_flow`` is retained as a thin shim;
-new code composes flows from passes::
+Every flow is a pipeline of passes; ``Pipeline.standard`` builds the
+paper's flow and is the one place its knobs and defaults are declared::
 
     from repro.circuits import build
     from repro.pipeline import Pipeline
@@ -18,7 +18,7 @@ new code composes flows from passes::
   ``with_hooks``);
 * :mod:`~repro.pipeline.passes` — the six flow stages as individual
   passes, plus the optional balance / splitter extras;
-* :func:`~repro.pipeline.batch.run_many` — the multiprocessing batch
+* :func:`~repro.pipeline.batch.run_many` — the process-pool batch
   executor behind ``repro-flow table --jobs N`` and the benchmarks.
 """
 

@@ -1,9 +1,12 @@
 """Multi-circuit batch execution: ``run_many`` and the Table-I driver.
 
-``run_many`` fans a list of (network, pipeline) jobs over a worker pool
-(``multiprocessing``) and returns the finished contexts in submission
-order; results are deterministic and independent of ``jobs``.  It powers
-``repro-flow table --jobs N`` and the benchmark harnesses.
+``run_many`` fans a list of (network, pipeline) jobs over a process
+pool (``concurrent.futures``) and returns the finished contexts in
+submission order; results are deterministic and independent of
+``jobs``.  A worker process that dies mid-job ends the batch with a
+:class:`~repro.errors.PipelineError` naming the lost job instead of
+hanging.  It powers ``repro-flow table --jobs N`` and the benchmark
+harnesses.
 
 Crash-safe checkpointing: pass ``journal=BatchJournal(path)`` and every
 finished job is durably appended (flush + fsync) before the next result
@@ -88,10 +91,15 @@ def pipeline_fingerprint(pipeline: Pipeline) -> str:
     processes constructing the same flow agree on the fingerprint (the
     property journal resume depends on).  Custom passes holding objects
     with address-bearing reprs fingerprint uniquely per process — their
-    jobs are then conservatively re-run instead of resumed.
+    jobs are then conservatively re-run instead of resumed.  A custom
+    cell library contributes its cost table; the default library (no
+    ``library`` set) adds nothing, so default-flow fingerprints do not
+    depend on it.
     """
     text = ";".join(repr(p) for p in pipeline.passes)
     text += f"|verify={pipeline.verify}"
+    if pipeline.library is not None:
+        text += f"|library={pipeline.library!r}"
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -205,13 +213,28 @@ def run_many(
     if jobs <= 1 or len(to_run) <= 1:
         return _collect(_run_job(job) for _, job in to_run)
 
-    import multiprocessing as mp
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     stripped = [(net, pipe.without_hooks()) for _, (net, pipe) in to_run]
-    with mp.Pool(
-        processes=min(jobs, len(stripped)), initializer=warm_worker
-    ) as pool:
-        return _collect(pool.imap(_run_job, stripped))
+
+    def _guarded(results):
+        for i, _ in to_run:
+            try:
+                yield next(results)
+            except BrokenProcessPool as exc:
+                raise PipelineError(
+                    f"a worker process died: job {i} ({work[i][0].name!r}) "
+                    "and every later unfinished job were lost"
+                ) from exc
+
+    pool = ProcessPoolExecutor(
+        max_workers=min(jobs, len(stripped)), initializer=warm_worker
+    )
+    try:
+        return _collect(_guarded(pool.map(_run_job, stripped)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def baseline_pipelines(

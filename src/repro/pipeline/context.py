@@ -19,7 +19,6 @@ from repro.sfq.netlist import SFQNetlist
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.dff_insertion import InsertionReport
-    from repro.core.flow import FlowResult
     from repro.core.t1_detection import DetectionResult
 
 
@@ -63,7 +62,7 @@ class FlowContext:
         """Append one line to the run's event log."""
         self.events.append(message)
 
-    # -- metric conveniences (mirror FlowResult) ----------------------------
+    # -- metric conveniences (the attributes TableRow.from_results reads) ---
 
     @property
     def num_dffs(self) -> int:
@@ -88,33 +87,3 @@ class FlowContext:
                 "metrics not computed yet — did the pipeline include the "
                 "'verify_metrics' pass?"
             )
-
-    def to_result(self, config: Optional[object] = None) -> "FlowResult":
-        """Package the context as a legacy :class:`~repro.core.flow.FlowResult`.
-
-        *config* is the :class:`~repro.core.flow.FlowConfig` the run was
-        derived from; when omitted an equivalent one is reconstructed from
-        the context.
-        """
-        from repro.core.flow import FlowConfig, FlowResult
-
-        self._require_metrics()
-        if config is None:
-            config = FlowConfig(
-                n_phases=self.n_phases or self.metrics.n_phases,
-                use_t1=self.detection is not None,
-                verify=self.verify,
-                library=self.library,
-            )
-        return FlowResult(
-            name=self.name,
-            config=config,
-            netlist=self.netlist,
-            metrics=self.metrics,
-            logic_network=self.network,
-            t1_found=self.t1_found,
-            t1_used=self.t1_used,
-            insertion=self.insertion,
-            runtime_s=self.runtime_s,
-            verified=self.verified,
-        )

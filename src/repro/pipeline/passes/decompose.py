@@ -29,7 +29,7 @@ class BalancePass:
 
     Depth equals DFFs in gate-level-pipelined SFQ, so rebalancing is an
     area optimisation here; insert it after ``decompose`` to reproduce
-    ``FlowConfig(balance_network=True)``.
+    ``Pipeline.standard(balance_network=True)``.
     """
 
     name: str = "balance"

@@ -93,10 +93,13 @@ class Pipeline:
         verify: str = "cec",
         library: Optional[CellLibrary] = None,
     ) -> "Pipeline":
-        """The paper's flow as a pipeline; knobs mirror ``FlowConfig``.
+        """The paper's flow as a pipeline.
 
-        The baselines are ``standard(n_phases=1, use_t1=False)`` and
-        ``standard(n_phases=4, use_t1=False)``.
+        This signature is the single declaration of the flow's knobs and
+        their defaults: the service config schema
+        (:data:`repro.service.protocol.PIPELINE_DEFAULTS`) is derived
+        from it.  The baselines are ``standard(n_phases=1, use_t1=False)``
+        and ``standard(n_phases=4, use_t1=False)``.
         """
         if use_t1 and n_phases < 3:
             raise ReproError(
@@ -128,25 +131,6 @@ class Pipeline:
             passes.append(SplitterPass())
         passes.append(VerifyMetricsPass())
         return cls(passes, verify=verify, library=library)
-
-    @classmethod
-    def from_config(cls, config) -> "Pipeline":
-        """Build the pipeline equivalent to ``run_flow(net, config)``."""
-        return cls.standard(
-            n_phases=config.n_phases,
-            use_t1=config.use_t1,
-            balance_pos=config.balance_pos,
-            share_chains=config.share_chains,
-            free_pi_phases=config.free_pi_phases,
-            materialize_splitters=config.materialize_splitters,
-            balance_network=config.balance_network,
-            phase_method=config.phase_method,
-            sweeps=config.sweeps,
-            cuts_per_node=config.cuts_per_node,
-            t1_min_outputs=config.t1_min_outputs,
-            verify=config.verify,
-            library=config.library,
-        )
 
     # -- fluent builder (each method returns a new Pipeline) ----------------
 

@@ -34,6 +34,7 @@ by ``repro-flow run --json``, the service result endpoint and
 from __future__ import annotations
 
 import hashlib
+import inspect
 from typing import Any, Dict, Optional
 
 from repro.errors import ServiceError
@@ -45,22 +46,14 @@ from repro.pipeline.pipeline import Pipeline
 #: schema tag stamped on every flow report
 REPORT_SCHEMA = "repro-flow-report/v1"
 
-#: the Pipeline.standard knobs that cross the wire, with their defaults.
+#: the Pipeline.standard knobs that cross the wire, with their defaults,
+#: read off its signature (the one place they are declared).
 #: (``library`` is deliberately absent: cost models are process-local
 #: objects; the service always runs the default library.)
 PIPELINE_DEFAULTS: Dict[str, Any] = {
-    "n_phases": 4,
-    "use_t1": True,
-    "balance_pos": True,
-    "share_chains": True,
-    "free_pi_phases": True,
-    "materialize_splitters": False,
-    "balance_network": False,
-    "phase_method": "heuristic",
-    "sweeps": 4,
-    "cuts_per_node": 8,
-    "t1_min_outputs": 2,
-    "verify": "cec",
+    name: param.default
+    for name, param in inspect.signature(Pipeline.standard).parameters.items()
+    if name != "library"
 }
 
 _CONFIG_TYPES: Dict[str, type] = {
@@ -120,11 +113,8 @@ def build_pipeline(config: Dict[str, Any]) -> Pipeline:
     """
     from repro.errors import ReproError
 
-    cfg = dict(config)
-    n_phases = cfg.pop("n_phases")
-    use_t1 = cfg.pop("use_t1")
     try:
-        return Pipeline.standard(n_phases=n_phases, use_t1=use_t1, **cfg)
+        return Pipeline.standard(**config)
     except ReproError as exc:
         raise ServiceError(f"invalid pipeline config: {exc}") from exc
 

@@ -68,6 +68,18 @@ class CellLibrary:
         self.t1 = t1
         self.jtl = jtl
 
+    def __repr__(self) -> str:
+        # deterministic (no object addresses, cell order normalised): batch
+        # journals fingerprint a pipeline's library through this repr
+        cells = sorted(
+            self.gate_cells.items(), key=lambda kv: (kv[0][0].name, kv[0][1])
+        )
+        table = ", ".join(f"{g.name}/{a}: {spec!r}" for (g, a), spec in cells)
+        return (
+            f"CellLibrary({{{table}}}, dff={self.dff!r}, "
+            f"splitter={self.splitter!r}, t1={self.t1!r}, jtl={self.jtl!r})"
+        )
+
     def cell_for(self, gate: Gate, arity: int) -> CellSpec:
         spec = self.gate_cells.get((gate, arity))
         if spec is None:

@@ -3,16 +3,21 @@
 ``batch.abort`` fires in the collection loop *before* a fresh result
 reaches the journal — the closest deterministic stand-in for a SIGKILL
 landing between two checkpoints.  Resuming from the surviving journal
-must reproduce the uninterrupted sweep exactly.
+must reproduce the uninterrupted sweep exactly.  A worker process that
+dies outright (``os._exit``) must end the batch with an error, not a
+hang, and leave a journal that a resume completes.
 """
 
 import os
+import time
+from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
 from repro import faults
 from repro.circuits import ripple_carry_adder
-from repro.errors import FaultInjected
+from repro.errors import FaultInjected, PipelineError
 from repro.io.json_report import strict_loads
 from repro.pipeline import (
     BatchJournal,
@@ -30,6 +35,23 @@ CHAOS_SEEDS = [
 ]
 
 TABLE_KWARGS = dict(benchmarks=["adder"], preset="ci", sweeps=2)
+
+
+@dataclass
+class DieOncePass:
+    """Kill the worker process (no exception, no cleanup) the first time
+    it sees the circuit called *victim*; the marker file makes the death
+    a one-off, so a resumed sweep runs the circuit to completion."""
+
+    victim: str
+    marker: str
+    name: str = "die_once"
+
+    def run(self, ctx):
+        if ctx.name == self.victim and not os.path.exists(self.marker):
+            Path(self.marker).touch()
+            os._exit(1)
+        return ctx
 
 
 def _semantics(result):
@@ -116,3 +138,32 @@ def test_kill_mid_parallel_run_many_then_resume(tmp_path):
     ]
     assert len(keys) == 3
     assert len(set(keys)) == 3
+
+
+def test_dead_worker_fails_fast_then_resume_finishes(tmp_path):
+    nets = [ripple_carry_adder(b) for b in (4, 6, 8)]
+    victim = nets[1].name
+    pipe = Pipeline.standard(verify="none")
+    clean = run_many(nets, pipeline=pipe)
+    dying = pipe.with_pass(
+        DieOncePass(victim, str(tmp_path / "died")), before="decompose"
+    )
+
+    path = tmp_path / "journal.jsonl"
+    with BatchJournal(path) as journal:
+        t0 = time.monotonic()
+        with pytest.raises(
+            PipelineError, match=r"worker process died: job \d"
+        ):
+            run_many(nets, pipeline=dying, jobs=2, journal=journal)
+        assert time.monotonic() - t0 < 30  # an error, not a hang
+        survived = journal.written_count
+    assert survived < len(nets)
+
+    with BatchJournal(path, resume=True) as journal:
+        results = run_many(nets, pipeline=dying, jobs=2, journal=journal)
+        assert journal.written_count == len(nets) - survived
+
+    assert [_semantics(r) for r in results] == [
+        _semantics(c) for c in clean
+    ]

@@ -70,21 +70,23 @@ class TestFunctional:
 class TestMapping:
     def test_t1_rich(self):
         """Shift-add trees are full-adder fabric: T1 detection bites."""
-        from repro.core import FlowConfig, run_flow
+        from repro.pipeline import Pipeline
 
         net = fir_filter([3, 5, 7, 2], sample_bits=6)
-        res = run_flow(net, FlowConfig(n_phases=4, use_t1=True, verify="cec"))
+        res = Pipeline.standard(n_phases=4, use_t1=True, verify="cec").run(net)
         assert res.t1_used >= 5
         assert res.verified is True
 
     def test_streams_one_sample_per_cycle(self):
-        from repro.core import FlowConfig, run_flow
+        from repro.pipeline import Pipeline
         from repro.sfq import PulseSimulator
 
         coeffs = [3, 1, 2]
         bits = 4
         net = fir_filter(coeffs, sample_bits=bits)
-        res = run_flow(net, FlowConfig(n_phases=4, use_t1=True, verify="none"))
+        res = Pipeline.standard(
+            n_phases=4, use_t1=True, verify="none"
+        ).run(net)
         rng = random.Random(7)
         stimulus = []
         expect = []

@@ -5,29 +5,34 @@ import pytest
 from repro.circuits import build, ripple_carry_adder
 from repro.errors import ReproError
 from repro.core import (
-    FlowConfig,
     PAPER_TABLE1,
     Table,
     TableRow,
     fmt_thousands,
-    run_baselines_and_t1,
-    run_flow,
 )
+from repro.pipeline import Pipeline, baseline_pipelines, run_many
 
 
-class TestFlowConfig:
+def run_baselines(net, **kw):
+    """The paper's three columns (1φ, nφ, nφ + T1) keyed by label."""
+    pipes = baseline_pipelines(**kw)
+    contexts = run_many([(net, pipe) for pipe in pipes.values()])
+    return dict(zip(pipes, contexts))
+
+
+class TestStandardConfig:
     def test_t1_needs_three_phases(self):
         with pytest.raises(ReproError):
-            FlowConfig(n_phases=2, use_t1=True)
+            Pipeline.standard(n_phases=2, use_t1=True)
 
     def test_baseline_allows_any_phase(self):
-        FlowConfig(n_phases=1, use_t1=False)  # ok
+        Pipeline.standard(n_phases=1, use_t1=False)  # ok
 
 
 class TestRunFlow:
     def test_adder_t1_flow_counts(self):
         net = ripple_carry_adder(16)
-        res = run_flow(net, FlowConfig(verify="full"))
+        res = Pipeline.standard(verify="full").run(net)
         assert res.t1_found == 15
         assert res.t1_used == 15
         assert res.verified is True
@@ -36,7 +41,7 @@ class TestRunFlow:
     def test_depth_relationship(self):
         """depth(1φ) ≈ n · depth(nφ); T1 adds a small constant."""
         net = ripple_carry_adder(16)
-        results = run_baselines_and_t1(net, n_phases=4, verify="none")
+        results = run_baselines(net, n_phases=4, verify="none")
         d1 = results["1phi"].depth_cycles
         d4 = results["nphi"].depth_cycles
         dt = results["t1"].depth_cycles
@@ -46,13 +51,13 @@ class TestRunFlow:
 
     def test_t1_area_beats_baseline_on_adder(self):
         net = ripple_carry_adder(16)
-        results = run_baselines_and_t1(net, verify="none")
+        results = run_baselines(net, verify="none")
         assert results["t1"].area_jj < results["nphi"].area_jj
         assert results["nphi"].area_jj < results["1phi"].area_jj
 
     def test_insertion_report_attached(self):
         net = ripple_carry_adder(8)
-        res = run_flow(net, FlowConfig(verify="none"))
+        res = Pipeline.standard(verify="none").run(net)
         assert res.insertion is not None
         assert res.insertion.total == res.num_dffs
 
@@ -61,22 +66,21 @@ class TestRunFlow:
 
         for name in names():
             net = build(name, "ci")
-            res = run_flow(net, FlowConfig(verify="cec"))
+            res = Pipeline.standard(verify="cec").run(net)
             assert res.metrics.area_jj > 0, name
             assert res.verified is True, name
 
     def test_streaming_verification_on_t1_benchmark(self):
         net = build("c6288", "ci")
-        res = run_flow(net, FlowConfig(verify="full"))
+        res = Pipeline.standard(verify="full").run(net)
         assert res.verified is True
         assert res.t1_used > 0
 
     def test_ilp_method_small(self):
         net = ripple_carry_adder(3)
-        res = run_flow(
-            net, FlowConfig(n_phases=4, use_t1=False, phase_method="ilp",
-                            verify="none")
-        )
+        res = Pipeline.standard(
+            n_phases=4, use_t1=False, phase_method="ilp", verify="none"
+        ).run(net)
         assert res.metrics.depth_cycles >= 1
 
 
@@ -88,7 +92,7 @@ class TestReport:
 
     def test_table_row_ratios(self):
         net = ripple_carry_adder(16)
-        results = run_baselines_and_t1(net, verify="none")
+        results = run_baselines(net, verify="none")
         row = TableRow.from_results("adder16", results)
         assert row.area_ratio_nphi == pytest.approx(
             results["t1"].area_jj / results["nphi"].area_jj
@@ -99,7 +103,7 @@ class TestReport:
 
     def test_table_format_contains_all_rows(self):
         net = ripple_carry_adder(8)
-        results = run_baselines_and_t1(net, verify="none")
+        results = run_baselines(net, verify="none")
         table = Table([TableRow.from_results("adder8", results)])
         text = table.format()
         assert "adder8" in text
@@ -119,7 +123,7 @@ class TestPaperShapeCI:
 
     def test_adder_shape(self):
         net = build("adder", "ci")  # 16-bit
-        results = run_baselines_and_t1(net, verify="none")
+        results = run_baselines(net, verify="none")
         row = TableRow.from_results("adder", results)
         # T1 replaces (almost) the whole FA chain
         assert row.t1_used == 15
@@ -132,5 +136,5 @@ class TestPaperShapeCI:
     def test_multiphase_baseline_shape(self):
         """1φ -> 4φ alone gives the big DFF cut (paper average 0.35)."""
         net = build("multiplier", "ci")
-        results = run_baselines_and_t1(net, verify="none")
+        results = run_baselines(net, verify="none")
         assert results["nphi"].num_dffs < 0.6 * results["1phi"].num_dffs

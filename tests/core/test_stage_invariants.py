@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from repro.core import FlowConfig, run_flow
+from repro.pipeline import Pipeline
 from repro.sfq.multiphase import depth_cycles, edge_dffs
 from repro.sfq.netlist import CellKind
 from tests.test_flow_fuzz import random_network
@@ -23,9 +23,7 @@ from tests.test_flow_fuzz import random_network
 
 def _flows(seed, n, use_t1):
     net = random_network(seed, num_gates=30)
-    return run_flow(
-        net, FlowConfig(n_phases=n, use_t1=use_t1, verify="none")
-    )
+    return Pipeline.standard(n_phases=n, use_t1=use_t1, verify="none").run(net)
 
 
 @pytest.mark.parametrize("seed", range(6))

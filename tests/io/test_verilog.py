@@ -5,9 +5,9 @@ import re
 import pytest
 
 from repro.circuits import ripple_carry_adder
-from repro.core import FlowConfig, run_flow
 from repro.io.verilog import dumps_sfq_verilog, dumps_verilog
 from repro.network import Gate, LogicNetwork
+from repro.pipeline import Pipeline
 
 
 class TestLogicVerilog:
@@ -67,10 +67,9 @@ class TestLogicVerilog:
 
 class TestSfqVerilog:
     def _netlist(self):
-        return run_flow(
-            ripple_carry_adder(4),
-            FlowConfig(n_phases=4, use_t1=True, verify="none"),
-        ).netlist
+        return Pipeline.standard(
+            n_phases=4, use_t1=True, verify="none"
+        ).run(ripple_carry_adder(4)).netlist
 
     def test_cells_instantiated(self):
         text = dumps_sfq_verilog(self._netlist())

@@ -82,12 +82,14 @@ def test_depth_never_increases_random():
 
 def test_balance_then_flow():
     """Balancing before the flow lowers DFF cost on chain-shaped logic."""
-    from repro.core import FlowConfig, run_flow
+    from repro.pipeline import Pipeline
 
     net = chain_network(Gate.XOR, 24)
-    plain = run_flow(net, FlowConfig(n_phases=4, use_t1=False, verify="none"))
+    plain = Pipeline.standard(n_phases=4, use_t1=False, verify="none").run(net)
     balanced, _ = balance(net)
-    opt = run_flow(balanced, FlowConfig(n_phases=4, use_t1=False, verify="none"))
+    opt = Pipeline.standard(
+        n_phases=4, use_t1=False, verify="none"
+    ).run(balanced)
     assert opt.depth_cycles < plain.depth_cycles
     assert opt.area_jj <= plain.area_jj
 

@@ -1,9 +1,8 @@
-"""run_many / run_table: ordering, parallel determinism, shim parity."""
+"""run_many / run_table: ordering, parallel determinism, baseline parity."""
 
 import pytest
 
 from repro.circuits import TABLE1_ORDER, build, ripple_carry_adder
-from repro.core import run_baselines_and_t1
 from repro.errors import PipelineError
 from repro.pipeline import (
     Pipeline,
@@ -12,6 +11,13 @@ from repro.pipeline import (
     run_table,
     warm_worker,
 )
+
+
+def run_baselines(net, jobs=1, **kw):
+    """The paper's three columns (1φ, nφ, nφ + T1) keyed by label."""
+    pipes = baseline_pipelines(**kw)
+    contexts = run_many([(net, pipe) for pipe in pipes.values()], jobs=jobs)
+    return dict(zip(pipes, contexts))
 
 
 class TestRunMany:
@@ -64,14 +70,14 @@ class TestRunTable:
         assert serial.format() == parallel.format()
         assert serial.as_dicts() == parallel.as_dicts()
 
-    def test_row_matches_legacy_shim(self):
+    def test_row_matches_baseline_pipelines(self):
         net = build("adder", "ci")
-        legacy = run_baselines_and_t1(net, n_phases=4, verify="none")
+        direct = run_baselines(net, n_phases=4, verify="none")
         table = run_table(["adder"], preset="ci")
         row = table.rows[0]
-        assert row.dff_t1 == legacy["t1"].num_dffs
-        assert row.area_1phi == legacy["1phi"].area_jj
-        assert row.depth_nphi == legacy["nphi"].depth_cycles
+        assert row.dff_t1 == direct["t1"].num_dffs
+        assert row.area_1phi == direct["1phi"].area_jj
+        assert row.depth_nphi == direct["nphi"].depth_cycles
 
     def test_progress_callback(self):
         seen = []
@@ -87,10 +93,10 @@ class TestBaselinePipelines:
         assert "t1_detect" not in pipes["1phi"].names()
         assert "t1_detect" not in pipes["nphi"].names()
 
-    def test_shim_jobs_parity(self):
+    def test_baseline_jobs_parity(self):
         net = build("c6288", "ci")
-        serial = run_baselines_and_t1(net, verify="none")
-        pooled = run_baselines_and_t1(net, verify="none", jobs=2)
+        serial = run_baselines(net, verify="none")
+        pooled = run_baselines(net, verify="none", jobs=2)
         for label in serial:
             assert serial[label].metrics == pooled[label].metrics
 

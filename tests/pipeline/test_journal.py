@@ -9,10 +9,20 @@ from repro.pipeline import (
     BatchJournal,
     Pipeline,
     ResumedResult,
+    baseline_pipelines,
     pipeline_fingerprint,
     run_many,
+    run_table,
 )
 from repro.pipeline.journal import JOURNAL_SCHEMA
+from repro.sfq.cell_library import CellLibrary, CellSpec, default_library
+
+
+def dff_cost_library(jj):
+    """The default library with the DFF re-priced to *jj* junctions."""
+    return CellLibrary(
+        default_library().gate_cells, dff=CellSpec("DFF", jj, True)
+    )
 
 
 class TestJournalFile:
@@ -152,6 +162,24 @@ class TestJournaledRunMany:
                 assert s_rec["report"][field] == p_rec["report"][field]
 
 
+class TestJournaledRunTable:
+    def test_resume_with_other_library_reruns(self, tmp_path):
+        """A journal written under one cost model must not replay its
+        results into a sweep that runs under another."""
+        path = tmp_path / "table.jsonl"
+        run_table(["adder"], preset="ci", journal_path=path)
+        lib = dff_cost_library(60)
+        fresh = run_table(["adder"], preset="ci", library=lib)
+        resumed = run_table(
+            ["adder"], preset="ci", library=lib,
+            journal_path=path, resume=True,
+        )
+        assert resumed.as_dicts() == fresh.as_dicts()
+        assert fresh.rows[0].area_t1 != run_table(
+            ["adder"], preset="ci"
+        ).rows[0].area_t1
+
+
 class TestFingerprint:
     def test_same_flow_same_fingerprint(self):
         a = Pipeline.standard(verify="none")
@@ -164,6 +192,27 @@ class TestFingerprint:
         c = Pipeline.standard(verify="cec")
         assert pipeline_fingerprint(a) != pipeline_fingerprint(b)
         assert pipeline_fingerprint(a) != pipeline_fingerprint(c)
+
+    def test_library_changes_fingerprint(self):
+        plain = Pipeline.standard(verify="none")
+        a = plain.with_library(dff_cost_library(60))
+        b = plain.with_library(dff_cost_library(60))
+        c = plain.with_library(dff_cost_library(7))
+        assert pipeline_fingerprint(a) == pipeline_fingerprint(b)
+        assert pipeline_fingerprint(a) != pipeline_fingerprint(plain)
+        assert pipeline_fingerprint(a) != pipeline_fingerprint(c)
+
+    def test_default_library_fingerprints_pinned(self):
+        """Journals written before libraries were fingerprinted resume."""
+        assert pipeline_fingerprint(Pipeline.standard()) == "26727d834cdb8f56"
+        assert {
+            label: pipeline_fingerprint(pipe)
+            for label, pipe in baseline_pipelines().items()
+        } == {
+            "1phi": "ecd92281a72e32a0",
+            "nphi": "4ffb6366f014d5c4",
+            "t1": "0d81cf2a93c51a3c",
+        }
 
     def test_metricless_resumed_result_raises(self):
         broken = ResumedResult("k", {"no": "metrics"})

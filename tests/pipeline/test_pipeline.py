@@ -1,9 +1,8 @@
-"""Pipeline composition, shim equivalence and hook semantics."""
+"""Pipeline composition, config-shim equivalence and hook semantics."""
 
 import pytest
 
 from repro.circuits import build, ripple_carry_adder
-from repro.core import FlowConfig, run_flow
 from repro.errors import PipelineError, ReproError
 from repro.pipeline import (
     BalancePass,
@@ -111,49 +110,50 @@ class TestComposition:
 
 
 class TestShimEquivalence:
-    """run_flow(net, cfg) must equal the equivalent pipeline, bit for bit."""
+    """The config-dict shim — ``build_pipeline(normalize_config(cfg))``,
+    the path of ``repro-flow run``/``submit`` and the daemon — must equal
+    ``Pipeline.standard(**cfg)``, bit for bit."""
 
     CONFIGS = [
-        FlowConfig(n_phases=4, use_t1=True, verify="cec"),
-        FlowConfig(n_phases=1, use_t1=False, verify="none"),
-        FlowConfig(n_phases=4, use_t1=False, verify="none"),
-        FlowConfig(n_phases=3, use_t1=True, verify="none", sweeps=2),
-        FlowConfig(n_phases=4, use_t1=True, verify="none",
-                   share_chains=False, balance_network=True),
+        dict(n_phases=4, use_t1=True, verify="cec"),
+        dict(n_phases=1, use_t1=False, verify="none"),
+        dict(n_phases=4, use_t1=False, verify="none"),
+        dict(n_phases=3, use_t1=True, verify="none", sweeps=2),
+        dict(n_phases=4, use_t1=True, verify="none",
+             share_chains=False, balance_network=True),
     ]
+
+    @staticmethod
+    def via_config(cfg=None):
+        from repro.service import build_pipeline, normalize_config
+
+        return build_pipeline(normalize_config(cfg))
 
     @pytest.mark.parametrize("bench", ["adder", "c6288", "sin"])
     @pytest.mark.parametrize("cfg", CONFIGS)
     def test_metrics_identical(self, bench, cfg):
         net = build(bench, "ci")
-        res = run_flow(net, cfg)
-        ctx = Pipeline.from_config(cfg).run(net)
+        res = self.via_config(cfg).run(net)
+        ctx = Pipeline.standard(**cfg).run(net)
         assert ctx.metrics == res.metrics
         assert (ctx.t1_found, ctx.t1_used) == (res.t1_found, res.t1_used)
         assert ctx.verified == res.verified
 
     def test_every_registered_benchmark(self):
-        """Pipeline.standard() == run_flow() on the whole registry."""
+        """Pipeline.standard() == the config shim on the whole registry."""
         from repro.circuits import names
 
-        cfg = FlowConfig(verify="none")
+        shim = self.via_config({"verify": "none"})
         pipe = Pipeline.standard(verify="none")
         for bench in names():
             net = build(bench, "ci")
-            assert pipe.run(net).metrics == run_flow(net, cfg).metrics, bench
+            assert pipe.run(net).metrics == shim.run(net).metrics, bench
 
-    def test_to_result_round_trip(self):
-        net = build("adder", "ci")
-        cfg = FlowConfig(verify="cec")
-        res = Pipeline.from_config(cfg).run(net).to_result(cfg)
-        direct = run_flow(net, cfg)
-        assert res.metrics == direct.metrics
-        assert res.insertion.total == direct.insertion.total
-        assert res.name == direct.name
+    def test_standard_matches_config_defaults(self):
+        from repro.pipeline import pipeline_fingerprint
 
-    def test_standard_matches_from_config_defaults(self):
-        assert Pipeline.standard().names() == (
-            Pipeline.from_config(FlowConfig()).names()
+        assert pipeline_fingerprint(Pipeline.standard()) == (
+            pipeline_fingerprint(self.via_config())
         )
 
 

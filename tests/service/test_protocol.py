@@ -152,6 +152,28 @@ class TestCacheKey:
         )
 
 
+class TestPinnedCacheKey:
+    """The cache key bytes of one fixed job, taken before the config
+    schema was derived from ``Pipeline.standard``'s signature: a change
+    here orphans every cached report and splits the key space."""
+
+    def test_default_config_key(self):
+        net = build("adder", "ci")
+        assert cache_key(net, normalize_config(None)) == (
+            "14ca459a62f020c9103e3a6bf76048a73e8b61bad8e2b34d2779109c670f841c"
+        )
+
+    def test_non_default_config_key(self):
+        net = build("adder", "ci")
+        config = normalize_config({
+            "n_phases": 3, "use_t1": False, "phase_method": "ilp",
+            "sweeps": 2, "verify": "none",
+        })
+        assert cache_key(net, config) == (
+            "b6e89e85dd079a48dbb5a9b0dd6f57324c66c6468a18b5bc03f755de7a9ade87"
+        )
+
+
 class TestFlowReport:
     def test_schema_and_strict_roundtrip(self):
         cfg = normalize_config({"verify": "none"})

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import HazardError, SimulationError, TimingError
 from repro.network import Gate, LogicNetwork
 from repro.network.simulation import simulate_words
-from repro.core import FlowConfig, run_flow
+from repro.pipeline import Pipeline
 from repro.sfq import PulseSimulator, SFQNetlist, map_to_sfq, stream_compare
 from repro.core.phase_assignment import assign_stages
 from repro.core.dff_insertion import insert_dffs
@@ -128,6 +128,6 @@ def test_flow_full_verification_end_to_end():
     from repro.circuits import ripple_carry_adder
 
     net = ripple_carry_adder(6)
-    res = run_flow(net, FlowConfig(n_phases=4, use_t1=True, verify="full"))
+    res = Pipeline.standard(n_phases=4, use_t1=True, verify="full").run(net)
     assert res.verified is True
     assert res.t1_used >= 4

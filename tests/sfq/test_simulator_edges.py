@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.network import Gate, LogicNetwork
-from repro.core import FlowConfig, run_flow
+from repro.pipeline import Pipeline
 from repro.sfq import PulseSimulator, SFQNetlist
 from repro.sfq.netlist import CellKind
 
@@ -53,7 +53,7 @@ def test_squarer_with_const_po_streams():
     from repro.network import simulate_words
 
     net = squarer(4)
-    res = run_flow(net, FlowConfig(n_phases=4, use_t1=True, verify="none"))
+    res = Pipeline.standard(n_phases=4, use_t1=True, verify="none").run(net)
     waves = [[(v >> i) & 1 for i in range(4)] for v in range(10)]
     out = PulseSimulator(res.netlist).run(waves)
     for w, vec in enumerate(waves):
@@ -66,7 +66,7 @@ def test_back_to_back_runs_independent():
     a, b, c = (net.add_pi() for _ in range(3))
     cell = net.add_t1_cell(a, b, c)
     net.add_po(net.add_t1_tap(cell, Gate.T1_S))
-    res = run_flow(net, FlowConfig(n_phases=4, use_t1=False, verify="none"))
+    res = Pipeline.standard(n_phases=4, use_t1=False, verify="none").run(net)
     sim = PulseSimulator(res.netlist)
     first = sim.run([[1, 1, 1]])
     second = sim.run([[1, 1, 1]])

@@ -6,10 +6,10 @@ import pytest
 
 from repro.circuits import ripple_carry_adder
 from repro.errors import NetworkError
-from repro.core import FlowConfig, run_flow
 from repro.metrics import area_jj, measure
 from repro.network import Gate
 from repro.network.simulation import simulate_words
+from repro.pipeline import Pipeline
 from repro.sfq import PulseSimulator, SFQNetlist, check_timing
 from repro.sfq.netlist import CellKind
 from repro.sfq.splitters import (
@@ -21,7 +21,7 @@ from repro.sfq.splitters import (
 
 def t1_flow_netlist(bits=6):
     net = ripple_carry_adder(bits)
-    res = run_flow(net, FlowConfig(n_phases=4, use_t1=True, verify="none"))
+    res = Pipeline.standard(n_phases=4, use_t1=True, verify="none").run(net)
     return net, res.netlist
 
 
@@ -104,20 +104,18 @@ class TestMaterialise:
 class TestFlowIntegration:
     def test_flow_option(self):
         net = ripple_carry_adder(5)
-        res = run_flow(
-            net,
-            FlowConfig(n_phases=4, use_t1=True, verify="none",
-                       materialize_splitters=True),
-        )
+        res = Pipeline.standard(
+            n_phases=4, use_t1=True, verify="none", materialize_splitters=True
+        ).run(net)
         assert splitter_count(res.netlist) == res.metrics.num_splitters
         assert check_timing(res.netlist).ok
 
     def test_metrics_identical_with_and_without(self):
         net = ripple_carry_adder(5)
-        plain = run_flow(net, FlowConfig(verify="none"))
-        phys = run_flow(
-            net, FlowConfig(verify="none", materialize_splitters=True)
-        )
+        plain = Pipeline.standard(verify="none").run(net)
+        phys = Pipeline.standard(
+            verify="none", materialize_splitters=True
+        ).run(net)
         assert plain.area_jj == phys.area_jj
         assert plain.num_dffs == phys.num_dffs
         assert plain.metrics.num_splitters == phys.metrics.num_splitters

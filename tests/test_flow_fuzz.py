@@ -16,8 +16,8 @@ import random
 
 import pytest
 
-from repro.core import FlowConfig, run_flow
 from repro.network import Gate, LogicNetwork, check_equivalence, simulate_words
+from repro.pipeline import Pipeline
 from repro.sfq import PulseSimulator, check_timing
 
 
@@ -60,9 +60,9 @@ def random_network(
 @pytest.mark.parametrize("seed", range(12))
 def test_fuzz_t1_flow_equivalence(seed):
     net = random_network(seed)
-    res = run_flow(net, FlowConfig(n_phases=4, use_t1=True, verify="none"))
+    res = Pipeline.standard(n_phases=4, use_t1=True, verify="none").run(net)
     assert check_timing(res.netlist).ok
-    cec = check_equivalence(net, res.logic_network, complete=True)
+    cec = check_equivalence(net, res.network, complete=True)
     assert cec.equivalent, cec.counterexample
 
 
@@ -70,9 +70,9 @@ def test_fuzz_t1_flow_equivalence(seed):
 @pytest.mark.parametrize("n", [1, 3, 4])
 def test_fuzz_streaming_matches_logic(seed, n):
     net = random_network(100 + seed, num_gates=25)
-    res = run_flow(
-        net, FlowConfig(n_phases=n, use_t1=(n >= 3), verify="none")
-    )
+    res = Pipeline.standard(
+        n_phases=n, use_t1=(n >= 3), verify="none"
+    ).run(net)
     rng = random.Random(seed)
     waves = [[rng.randint(0, 1) for _ in net.pis] for _ in range(10)]
     out = PulseSimulator(res.netlist).run(waves)
@@ -88,11 +88,9 @@ def test_fuzz_shared_and_unshared_agree_functionally(seed):
     waves = [[rng.randint(0, 1) for _ in net.pis] for _ in range(6)]
     outs = []
     for share in (True, False):
-        res = run_flow(
-            net,
-            FlowConfig(n_phases=4, use_t1=True, share_chains=share,
-                       verify="none"),
-        )
+        res = Pipeline.standard(
+            n_phases=4, use_t1=True, share_chains=share, verify="none"
+        ).run(net)
         outs.append(PulseSimulator(res.netlist).run(waves).po_values)
     assert outs[0] == outs[1]
 

@@ -24,9 +24,7 @@ def test_all_exports_resolve(package):
     mod = importlib.import_module(package)
     exported = getattr(mod, "__all__", [])
     for name in exported:
-        assert hasattr(mod, name) or name in (
-            "run_flow", "FlowConfig", "FlowResult",  # lazy in repro/__init__
-        ), f"{package}.{name} missing"
+        assert hasattr(mod, name), f"{package}.{name} missing"
 
 
 @pytest.mark.parametrize("package", PACKAGES)
@@ -46,8 +44,6 @@ def test_public_callables_documented(package):
 def test_lazy_top_level_attributes():
     import repro
 
-    assert callable(repro.run_flow)
-    assert repro.FlowConfig is not None
     assert callable(repro.run_many)
     assert repro.Pipeline.standard().names()
     assert "adder" in repro.benchmark_registry
