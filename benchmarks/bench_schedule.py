@@ -12,7 +12,13 @@ trajectory started by ``bench_kernel.py``:
   one seed-style ``local_cost`` rescan on the largest registry netlist;
 * **ILP model build** — time to build the §II-B model on the
   :class:`~repro.solvers.model.SolverModel` IR and lower it to the MILP
-  backend (small circuit, the exact path of ``method="auto"``).
+  backend (small circuit, the exact path of ``method="auto"``);
+* **boundary shift** — mean time of the ``state_if_moved`` probes that
+  shift the PO boundary vs the plain probes, timed one by one during a
+  real ``assign_stages_heuristic`` run on the mapped ``datapath``
+  synthetic (2k nodes with ``--quick``, 10k in full).  A shifting probe
+  prices the PO nets it does not touch from maintained counts, so it
+  should cost a small multiple of a plain one, not O(#PO) more.
 
 Contract (the CI gate): *invariant* failures exit non-zero —
 
@@ -21,13 +27,15 @@ Contract (the CI gate): *invariant* failures exit non-zero —
 * the kernel's maintained cost terms must match a from-scratch
   recomputation after the sweeps (``StageSchedule.check_invariants``).
 
-Timing numbers are recorded, never asserted: wall-clock noise must not
-fail a pipeline.
+Timing numbers are recorded, not asserted, except for one
+within-process ratio: with ``--ratchet`` (the CI perf-smoke mode) the
+run fails when a boundary-shifting probe costs more than
+``MAX_SHIFT_PROBE_RATIO`` plain probes.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_schedule.py            # paper scale
-    PYTHONPATH=src python benchmarks/bench_schedule.py --quick    # CI smoke
+    PYTHONPATH=src python benchmarks/bench_schedule.py --quick --ratchet
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ import time
 from pathlib import Path
 
 from repro.circuits.registry import TABLE1_ORDER, build
+from repro.circuits.synthetic import build_synthetic
 from repro.core.phase_assignment import (
     assign_stages_heuristic,
     assign_stages_rescan_reference,
@@ -53,16 +62,23 @@ from repro.pipeline.context import FlowContext
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
+#: ratchet ceiling: mean boundary-shifting probe / mean plain probe
+MAX_SHIFT_PROBE_RATIO = 4.0
 
-def mapped_netlist(name: str, preset: str):
-    """Standard pipeline up to (excluding) phase assignment."""
+
+def map_source(source, name: str):
+    """Standard pipeline on *source* up to (excluding) phase assignment."""
     pipe = Pipeline.standard(n_phases=4, use_t1=True, verify="none")
-    ctx = FlowContext(source=build(name, preset), name=name, verify="none")
+    ctx = FlowContext(source=source, name=name, verify="none")
     for p in pipe.passes:
         if p.name == "phase_assign":
             break
         ctx = p.run(ctx) or ctx
     return ctx.netlist
+
+
+def mapped_netlist(name: str, preset: str):
+    return map_source(build(name, preset), name)
 
 
 def bench_heuristic(circuits, preset, failures):
@@ -181,11 +197,63 @@ def bench_ilp_model_build(preset):
     }
 
 
+def bench_boundary_shift(quick, failures):
+    """Per-probe cost of boundary-shifting vs plain probes, in a real run."""
+    nodes = 2_000 if quick else 10_000
+    nl = map_source(build_synthetic("datapath", nodes, 1), "datapath")
+    probe = StageSchedule.state_if_moved
+    # [count, seconds] of shifting and of plain probes
+    shift = [0, 0.0]
+    plain = [0, 0.0]
+
+    def timed_probe(kernel, x, s):
+        before = kernel.boundary_shifts
+        t0 = time.perf_counter()
+        out = probe(kernel, x, s)
+        dt = time.perf_counter() - t0
+        acc = shift if kernel.boundary_shifts != before else plain
+        acc[0] += 1
+        acc[1] += dt
+        return out
+
+    StageSchedule.state_if_moved = timed_probe
+    try:
+        t0 = time.perf_counter()
+        rep = assign_stages_heuristic(nl)
+        t_run = time.perf_counter() - t0
+    finally:
+        StageSchedule.state_if_moved = probe
+    if shift[0] != rep.boundary_shifts:
+        failures.append(
+            f"boundary_shift: {shift[0]} shifting probes timed, report "
+            f"counted {rep.boundary_shifts}"
+        )
+    shift_us = shift[1] / shift[0] * 1e6
+    plain_us = plain[1] / plain[0] * 1e6
+    return {
+        "circuit": f"datapath_{nodes}",
+        "cells": len(nl.cells),
+        "heuristic_seconds_timed": round(t_run, 4),
+        "moves_evaluated": rep.moves_evaluated,
+        "shift_probes": shift[0],
+        "plain_probes": plain[0],
+        "shift_us_per_probe": round(shift_us, 3),
+        "plain_us_per_probe": round(plain_us, 3),
+        "ratio": round(shift_us / plain_us, 3),
+        "max_ratio": MAX_SHIFT_PROBE_RATIO,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--quick", action="store_true",
         help="CI smoke: down-scaled circuits",
+    )
+    parser.add_argument(
+        "--ratchet", action="store_true",
+        help="fail if a boundary-shifting probe costs more than "
+             f"{MAX_SHIFT_PROBE_RATIO}x a plain probe",
     )
     parser.add_argument(
         "--out", default=str(REPO_ROOT / "BENCH_schedule.json"),
@@ -206,6 +274,7 @@ def main(argv=None) -> int:
         "heuristic": bench_heuristic(circuits, preset, failures),
         "delta_probe": bench_delta_probe(preset, failures),
         "ilp_model_build": bench_ilp_model_build(preset),
+        "boundary_shift": bench_boundary_shift(args.quick, failures),
         "invariants_ok": not failures,
         "invariant_failures": failures,
     }
@@ -225,10 +294,25 @@ def main(argv=None) -> int:
         f"{probe['delta_seconds_per_probe']:.2e}s vs rescan "
         f"{probe['rescan_seconds_per_probe']:.2e}s ({probe['speedup']}x)"
     )
+    shifting = report["boundary_shift"]
+    ratio = shifting["ratio"]
+    print(
+        f"boundary shift on {shifting['circuit']}: "
+        f"{shifting['shift_us_per_probe']:.1f}us over "
+        f"{shifting['shift_probes']} shifting probes vs "
+        f"{shifting['plain_us_per_probe']:.1f}us plain ({ratio}x)"
+    )
     if failures:
         print("SCHEDULE KERNEL INVARIANT FAILURES:", file=sys.stderr)
         for f in failures:
             print(f"  {f}", file=sys.stderr)
+        return 1
+    if args.ratchet and ratio > MAX_SHIFT_PROBE_RATIO:
+        print(
+            f"PERF RATCHET FAILURE: a boundary-shifting probe costs "
+            f"{ratio}x a plain probe (> {MAX_SHIFT_PROBE_RATIO}x)",
+            file=sys.stderr,
+        )
         return 1
     return 0
 

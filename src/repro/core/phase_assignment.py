@@ -120,6 +120,9 @@ class HeuristicReport:
     moves_evaluated: int = 0
     moves_applied: int = 0
     final_cost: float = 0.0
+    #: probes that moved the PO boundary (kernel heuristic only; the
+    #: seed reference snapshots the boundary per sweep and leaves it 0)
+    boundary_shifts: int = 0
 
 
 def _candidate_stages(
@@ -265,6 +268,7 @@ def assign_stages_heuristic(
     kernel.write_stages()
     report.moves_evaluated = kernel.moves_evaluated
     report.moves_applied = kernel.moves_applied
+    report.boundary_shifts = kernel.boundary_shifts
     report.final_cost = kernel.total()
     return report
 

@@ -9,7 +9,7 @@ optimises the *true* insertion cost
 
 The seed implementation re-summed every incident term from scratch for
 every candidate stage of every cell.  :class:`StageSchedule` maintains
-the cost terms instead, exploiting two structural facts:
+the cost terms instead, exploiting three structural facts:
 
 * a net's chain cost is **monotone in its consumer stages** —
   ``max_v edge_dffs(σ_v − σ_d, n) == edge_dffs(max_v σ_v − σ_d, n)`` and
@@ -19,12 +19,19 @@ the cost terms instead, exploiting two structural facts:
 * the PO boundary is ``max stage + 1``, so a maintained stage histogram
   keeps it current across moves instead of once per sweep (the seed's
   per-sweep snapshot let `local_cost` price PO balancing against a stale
-  boundary).
+  boundary);
+* every consumer of a PO net sits below the boundary ``b``, so a
+  feasible PO net's term is ``f(b − σ_d)`` with
+  ``f(g) = max(0, (g − 1)//n)`` — it depends on its driver stage alone —
+  and its feasibility does not depend on ``b`` at all.  The kernel keeps
+  the feasible PO nets counted by driver-stage residue ``σ_d mod n`` and
+  by exact driver stage, and prices a boundary shift from those counts
+  (a cumulative per-stage profile instead of per-net repricing).
 
 :meth:`cost_if_moved` prices a candidate without mutating anything;
-:meth:`apply_move` commits it.  Both touch only the terms incident to
-the moved cell (plus the PO terms when the boundary itself shifts), so a
-sweep costs O(moves × changed terms) instead of
+:meth:`apply_move` commits it.  A probe touches only the terms incident
+to the moved cell, plus O(n + |Δb|) count lookups when it shifts the PO
+boundary, so a sweep costs O(moves × changed terms) instead of
 O(moves × candidates × incident-edges).
 
 The T1 staggering cost is memoised *per kernel instance* (the memo dies
@@ -33,6 +40,7 @@ with the schedule), unlike the seed's unbounded module-global cache.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import TimingError
@@ -176,7 +184,8 @@ class StageSchedule:
     Owns ``stages`` (read it freely, mutate only through
     :meth:`apply_move`), the running total cost, and — when
     ``include_po_balancing`` — the PO boundary, kept current across
-    every move.
+    every move.  ``boundary_shifts`` counts the probes of
+    :meth:`state_if_moved` that moved the boundary.
     """
 
     def __init__(
@@ -197,6 +206,7 @@ class StageSchedule:
         )
         self.moves_evaluated = 0
         self.moves_applied = 0
+        self.boundary_shifts = 0
         self._t1_memo: Dict[Tuple[Tuple[int, ...], int], float] = {}
 
         cells = netlist.cells
@@ -257,6 +267,13 @@ class StageSchedule:
                 self._inf_terms += 1
             else:
                 self._finite += cost
+        # feasible PO nets by driver-stage residue and by driver stage
+        # (trailing zeros trimmed): the boundary-shift aggregate
+        self._po_by_residue: List[int] = [0] * self.n
+        self._po_by_stage: List[int] = []
+        for sig in st.po_signals:
+            if self._net_cost[sig] != INF:
+                self._count_po(self.stages[sig[0]], 1)  # type: ignore[arg-type]
 
     # -- cost primitives ----------------------------------------------------
 
@@ -327,6 +344,52 @@ class StageSchedule:
             cnt += 1
         return cnt
 
+    def _count_po(self, ds: int, k: int) -> None:
+        """Add *k* feasible PO nets driven from stage *ds* to the counts."""
+        self._po_by_residue[ds % self.n] += k
+        at = self._po_by_stage
+        if ds >= len(at):
+            at.extend([0] * (ds + 1 - len(at)))
+        at[ds] += k
+        while at and not at[-1]:
+            at.pop()
+
+    def _po_shift_delta(self, x: int, b0: int, b1: int) -> int:
+        """Finite-cost change of the PO nets *not* incident to *x* when
+        the boundary shifts ``b0 -> b1``.
+
+        Every consumer of such a net sits below both boundaries, so its
+        term is ``f(b − σ_d)`` with ``f(g) = max(0, (g − 1)//n)`` and its
+        feasibility is fixed.  For ``σ_d < min(b0, b1)`` both gaps are
+        positive and, with ``σ_d = q·n + r``, ``(b − σ_d − 1)//n`` is
+        ``(b − r − 1)//n − q``: the change depends on the residue ``r``
+        alone.  Drivers at or above ``min(b0, b1)`` — the moved cell
+        itself, and PIs at a free phase where ``f`` clamps at zero — are
+        corrected from the exact-stage counts.  The nets incident to *x*
+        are taken out again: the probe's incident loops price them.
+        """
+        n = self.n
+        delta = 0
+        for r, c in enumerate(self._po_by_residue):
+            if c:
+                delta += c * ((b1 - r - 1) // n - (b0 - r - 1) // n)
+        at = self._po_by_stage
+        for d in range(min(b0, b1), len(at)):
+            c = at[d]
+            if c:
+                # clamped change minus the unclamped one summed above
+                q0 = (b0 - d - 1) // n
+                q1 = (b1 - d - 1) // n
+                delta += c * (min(q0, 0) - min(q1, 0))
+        po_signals = self.st.po_signals
+        net_cost = self._net_cost
+        stages = self.stages
+        for sig in chain(self.st.signals_of_cell[x], self._consumed[x]):
+            if sig in po_signals and net_cost[sig] != INF:
+                ds: int = stages[sig[0]]  # type: ignore[assignment]
+                delta -= max(0, (b1 - ds - 1) // n) - max(0, (b0 - ds - 1) // n)
+        return delta
+
     def _peek_max_clocked(self, s0: int, s: int) -> int:
         """Max clocked stage after moving one clocked cell s0 -> s."""
         mx = self._max_clocked
@@ -351,8 +414,8 @@ class StageSchedule:
     def state_if_moved(self, x: int, s: int) -> Tuple[int, float]:
         """:meth:`state` if cell *x* moved to stage *s* (no mutation).
 
-        O(terms incident to x); O(+ #PO nets) only when the move shifts
-        the PO boundary itself.
+        O(terms incident to x), plus O(n + |Δb|) count lookups when the
+        move shifts the PO boundary itself (see :meth:`_po_shift_delta`).
         """
         s0 = self.stages[x]
         if s == s0:
@@ -368,10 +431,8 @@ class StageSchedule:
         if self.include_po and st.clocked[x]:
             b1 = self._peek_max_clocked(s0, s) + 1  # type: ignore[arg-type]
         po_signals = st.po_signals
-        seen: Set[Signal] = set()
         # nets driven by x: only the driver stage changes
         for sig in st.signals_of_cell[x]:
-            seen.add(sig)
             bag = self._bags[sig]
             new = _net_term_cost(
                 s, bag.mn, bag.mx, b1 if sig in po_signals else None, n
@@ -388,7 +449,6 @@ class StageSchedule:
                     fin += new
         # nets x consumes: one consumer entry moves in the stage multiset
         for sig, k in self._consumed[x].items():
-            seen.add(sig)
             bag = self._bags[sig]
             mn, mx = bag.peek_moved(s0, s, k)  # type: ignore[arg-type]
             new = _net_term_cost(
@@ -435,25 +495,10 @@ class StageSchedule:
                     inf += 1
                 else:
                     fin += new
-        # boundary shift reprices every remaining PO net
+        # a boundary shift reprices the remaining PO nets by aggregate
         if b1 != b0:
-            for sig in po_signals:
-                if sig in seen:
-                    continue
-                bag = self._bags[sig]
-                new = _net_term_cost(
-                    stages[sig[0]], bag.mn, bag.mx, b1, n  # type: ignore[arg-type]
-                )
-                old = self._net_cost[sig]
-                if old != new:
-                    if old == INF:
-                        inf -= 1
-                    else:
-                        fin -= old
-                    if new == INF:
-                        inf += 1
-                    else:
-                        fin += new
+            self.boundary_shifts += 1
+            fin += self._po_shift_delta(x, b0, b1)  # type: ignore[arg-type]
         return inf, fin
 
     def apply_move(self, x: int, s: int) -> None:
@@ -461,10 +506,24 @@ class StageSchedule:
         s0 = self.stages[x]
         if s == s0:
             return
+        if s < 0:
+            raise TimingError(f"cell {x}: negative stage {s}")
         self.moves_applied += 1
         st = self.st
         n = self.n
         b0 = self.boundary()
+        po_signals = st.po_signals
+        net_cost = self._net_cost
+        # x's PO nets leave the feasible-PO counts and re-enter below
+        # with their new driver stage / feasibility
+        incident_po = [
+            sig
+            for sig in chain(st.signals_of_cell[x], self._consumed[x])
+            if sig in po_signals
+        ]
+        for sig in incident_po:
+            if net_cost[sig] != INF:
+                self._count_po(self.stages[sig[0]], -1)  # type: ignore[arg-type]
         if self.include_po and st.clocked[x]:
             counts = self._stage_counts
             counts[s] = counts.get(s, 0) + 1
@@ -480,10 +539,7 @@ class StageSchedule:
         b1 = self.boundary()
         self.stages[x] = s
         stages = self.stages
-        po_signals = st.po_signals
-        seen: Set[Signal] = set()
         for sig in st.signals_of_cell[x]:
-            seen.add(sig)
             bag = self._bags[sig]
             self._set_net_cost(
                 sig,
@@ -492,7 +548,6 @@ class StageSchedule:
                 ),
             )
         for sig, k in self._consumed[x].items():
-            seen.add(sig)
             bag = self._bags[sig]
             bag.remove(s0, k)  # type: ignore[arg-type]
             bag.add(s, k)
@@ -512,10 +567,10 @@ class StageSchedule:
         if st.is_t1[x]:
             fins = [stages[d] for d in st.fanin_drivers[x]]
             self._set_t1_cost(x, self._t1(s, fins))  # type: ignore[arg-type]
+        # applied moves rarely shift the boundary: reprice per net (a
+        # shift changes no driver stage or feasibility outside x's nets)
         if b1 != b0:
             for sig in po_signals:
-                if sig in seen:
-                    continue
                 bag = self._bags[sig]
                 self._set_net_cost(
                     sig,
@@ -523,14 +578,19 @@ class StageSchedule:
                         stages[sig[0]], bag.mn, bag.mx, b1, n  # type: ignore[arg-type]
                     ),
                 )
+        for sig in incident_po:
+            if net_cost[sig] != INF:
+                self._count_po(stages[sig[0]], 1)  # type: ignore[arg-type]
 
     def _set_term_cost(self, store: Dict, key, new: float) -> None:
         """Replace one cost term in *store*, adjusting the running totals.
 
         The same inf-count/finite-sum adjustment is inlined (on local
-        accumulators) in :meth:`state_if_moved`'s probe loops — keep the
-        two in lockstep or the maintained total diverges from
-        :meth:`recompute_total`.
+        accumulators) in :meth:`state_if_moved`'s incident loops, and
+        :meth:`_po_shift_delta` prices every other PO term from the
+        feasible-PO counts, which :meth:`apply_move` updates around this
+        call for x's PO nets — keep all three in lockstep or the
+        maintained total diverges from :meth:`recompute_total`.
         """
         old = store[key]
         if old == new:
@@ -600,8 +660,9 @@ class StageSchedule:
     def check_invariants(self) -> None:
         """Raise TimingError when a maintained value diverged from scratch.
 
-        Compares the running total, every net/T1 term, the stage
-        histogram and the boundary against a from-scratch recomputation.
+        Compares the running total, every net/T1 term, the boundary and
+        the feasible-PO residue and per-stage counts against a
+        from-scratch recomputation.
         """
         st = self.st
         stages = self.stages
@@ -617,6 +678,8 @@ class StageSchedule:
             )
             if b != mx + 1:
                 raise TimingError(f"stale boundary: kept {b}, actual {mx + 1}")
+        by_residue = [0] * self.n
+        by_stage: Dict[int, int] = {}
         for sig, cons in st.nets.items():
             cs = [stages[c] for c in cons]
             want = _net_term_cost(
@@ -630,6 +693,21 @@ class StageSchedule:
                 raise TimingError(
                     f"net {sig}: kept cost {self._net_cost[sig]}, actual {want}"
                 )
+            if sig in st.po_signals and want != INF:
+                ds = stages[sig[0]]
+                by_residue[ds % self.n] += 1  # type: ignore[operator]
+                by_stage[ds] = by_stage.get(ds, 0) + 1  # type: ignore[index]
+        if by_residue != self._po_by_residue:
+            raise TimingError(
+                f"PO residue counts: kept {self._po_by_residue}, "
+                f"actual {by_residue}"
+            )
+        want_at = [by_stage.get(d, 0) for d in range(max(by_stage, default=-1) + 1)]
+        if want_at != self._po_by_stage:
+            raise TimingError(
+                f"PO per-stage counts: kept {self._po_by_stage}, "
+                f"actual {want_at}"
+            )
         for i, is_t1 in enumerate(st.is_t1):
             if is_t1:
                 want = self._t1(

@@ -7,6 +7,7 @@ heuristic must reproduce the seed scan-and-rebuild sweeps bit for bit
 from ASAP starts (pinned against the retained reference implementation).
 """
 
+import hashlib
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from repro.core.phase_assignment import (
     assign_stages,
 )
 from repro.core.schedule import StageSchedule
+from repro.errors import TimingError
 from repro.network.gates import Gate
 from repro.sfq.multiphase import edge_dffs
 from repro.sfq.netlist import OUT, SFQNetlist
@@ -45,19 +47,35 @@ def random_netlist(seed, n_phases, n_pi=4, n_gates=12, n_t1=2, n_po=3):
     return nl
 
 
-def mapped_registry_netlist(name):
-    """Run the standard pipeline up to (excluding) phase assignment."""
-    from repro.circuits import build
+def mapped_netlist(source, name):
+    """Run the standard pipeline on *source* up to (excluding) phase
+    assignment."""
     from repro.pipeline import Pipeline
     from repro.pipeline.context import FlowContext
 
     pipe = Pipeline.standard(n_phases=4, use_t1=True, verify="none")
-    ctx = FlowContext(source=build(name, "ci"), name=name, verify="none")
+    ctx = FlowContext(source=source, name=name, verify="none")
     for p in pipe.passes:
         if p.name == "phase_assign":
             break
         ctx = p.run(ctx) or ctx
     return ctx.netlist
+
+
+def mapped_registry_netlist(name):
+    from repro.circuits import build
+
+    return mapped_netlist(build(name, "ci"), name)
+
+
+def probe_then_apply(k, x, s):
+    """Probe a move, commit it, and check the probe predicted the
+    committed state — the (infeasible count, finite sum) pair, not only
+    the collapsed total."""
+    predicted = k.state_if_moved(x, s)
+    k.apply_move(x, s)
+    assert k.state() == predicted
+    assert k.total() == k.recompute_total()
 
 
 class TestDeltaEquivalence:
@@ -72,11 +90,64 @@ class TestDeltaEquivalence:
         rng = random.Random(99)
         for _ in range(300):
             x = rng.choice(movable)
-            s = max(1, k.stages[x] + rng.randint(-3, 3))
-            predicted = k.cost_if_moved(x, s)
-            k.apply_move(x, s)
-            assert k.total() == predicted
-            assert k.total() == k.recompute_total()
+            probe_then_apply(k, x, max(1, k.stages[x] + rng.randint(-3, 3)))
+        k.check_invariants()
+
+    @pytest.mark.parametrize("n_phases", [1, 2, 3, 4])
+    def test_boundary_shifting_move_sequences(self, n_phases):
+        """Move the deepest clocked cell up and down so that most probes
+        shift the PO boundary (the aggregate PO repricing path)."""
+        nl = random_netlist(40 + n_phases, n_phases, n_gates=16, n_po=6)
+        k = StageSchedule(nl)
+        st = nl.structure()
+        movable = [i for i in range(len(nl.cells)) if st.clocked[i]]
+        rng = random.Random(5 + n_phases)
+        for step in range(300):
+            if step % 3:
+                x = max(movable, key=lambda i: (k.stages[i], i))
+            else:
+                x = rng.choice(movable)
+            probe_then_apply(k, x, max(1, k.stages[x] + rng.randint(-4, 4)))
+            if step % 25 == 0:
+                k.check_invariants()
+        assert k.boundary_shifts > 100
+        k.check_invariants()
+
+    def test_free_phase_pi_driving_bare_po_clamps(self):
+        """n=4: a PI at stage 3 drives a PO with no consumers.  Its PO
+        term is max(0, (b − 3 − 1)//4), which clamps at zero once the
+        boundary reaches stage 3 or drops below it."""
+        nl = SFQNetlist("clamp", n_phases=4)
+        p = nl.add_pi()
+        nl.add_po((p, OUT))
+        q = (nl.add_pi(), OUT)
+        g1 = nl.add_gate(Gate.AND, [q])
+        g2 = nl.add_gate(Gate.AND, [(g1, OUT)])
+        nl.add_po((g2, OUT))
+        k = StageSchedule(nl)
+        k.apply_move(p, 3)
+        k.apply_move(g2, 11)  # boundary 12: the bare PO needs 2 DFFs
+        assert k.boundary() == 12
+        k.check_invariants()
+        # the deepest cell walks down through the clamp and back up
+        for s in (8, 6, 4, 3, 2, 3, 5, 9, 13, 2, 12):
+            b0 = k.boundary()
+            probe_then_apply(k, g2, s)
+            assert k.boundary() == s + 1 != b0
+            k.check_invariants()
+        assert k.boundary_shifts == 11
+        # a PI moving under a fixed boundary re-enters the counts
+        for s in (0, 2, 3):
+            probe_then_apply(k, p, s)
+            k.check_invariants()
+        probe_then_apply(k, g2, 2)  # boundary 3: PI gap 0
+        probe_then_apply(k, g2, 1)  # boundary 2: PI gap -1
+        k.check_invariants()
+        # a driver far above both boundaries (outside the free-phase
+        # window, so only reachable by an explicit move) stays exact too
+        probe_then_apply(k, p, 9)
+        for s in (5, 1, 7, 3, 12, 1):
+            probe_then_apply(k, g2, s)
         k.check_invariants()
 
     def test_registry_circuit_move_sequence(self):
@@ -87,10 +158,7 @@ class TestDeltaEquivalence:
         rng = random.Random(3)
         for i in range(400):
             x = rng.choice(movable)
-            s = max(1, k.stages[x] + rng.randint(-2, 4))
-            predicted = k.cost_if_moved(x, s)
-            k.apply_move(x, s)
-            assert k.total() == predicted
+            probe_then_apply(k, x, max(1, k.stages[x] + rng.randint(-2, 4)))
         k.check_invariants()
 
     def test_peek_does_not_mutate(self):
@@ -102,6 +170,24 @@ class TestDeltaEquivalence:
             if st.clocked[x]:
                 k.cost_if_moved(x, k.stages[x] + 2)
         assert (list(k.stages), k.state(), k.boundary()) == before
+
+    def test_invariants_catch_stale_po_counts(self):
+        nl = random_netlist(3, 4)
+        k = StageSchedule(nl)
+        k.check_invariants()
+        k._po_by_residue[0] += 1
+        with pytest.raises(TimingError, match="residue"):
+            k.check_invariants()
+        k._po_by_residue[0] -= 1
+        k._po_by_stage.append(1)
+        with pytest.raises(TimingError, match="per-stage"):
+            k.check_invariants()
+
+    def test_negative_stage_rejected(self):
+        nl = random_netlist(3, 4)
+        k = StageSchedule(nl)
+        with pytest.raises(TimingError, match="negative stage"):
+            k.apply_move(0, -1)  # cell 0 is a PI
 
     def test_asap_start_total_matches_recompute(self):
         for name in ("adder", "voter", "multiplier"):
@@ -204,6 +290,37 @@ class TestHeuristicEquivalence:
         assert rk.moves_applied == rr.moves_applied
         assert rk.sweeps_run == rr.sweeps_run
         assert rk.moves_evaluated > 0
+
+
+class TestDatapathPins:
+    """The heuristic on mapped 2k-node datapaths, pinned to the values of
+    the per-net PO repricing it replaced.  Each run has about 1k probes
+    that shift the PO boundary, far more than the registry circuits."""
+
+    # seed: (moves_evaluated, moves_applied, boundary_shifts,
+    #        final state(), sha256 of the stage vector, first 16 hex)
+    PINS = {
+        1: (21038, 417, 1044, (5, 1953.0), "94bff22a418bd408"),
+        2: (16068, 361, 975, (5, 1293.0), "6bae895b79fff4c9"),
+        3: (20045, 423, 1026, (4, 1721.0), "230c2848bd1f1709"),
+    }
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_datapath_2k_pinned(self, seed):
+        from repro.circuits import build_synthetic
+
+        nl = mapped_netlist(build_synthetic("datapath", 2000, seed), "dp")
+        rep = assign_stages_heuristic(nl)
+        stages = [c.stage for c in nl.cells]
+        final = StageSchedule(nl, stages=stages)
+        final.check_invariants()
+        evaluated, applied, shifts, state, digest = self.PINS[seed]
+        assert rep.moves_evaluated == evaluated
+        assert rep.moves_applied == applied
+        assert rep.boundary_shifts == shifts
+        assert rep.final_cost == final.total() == float("inf")
+        assert final.state() == state
+        assert hashlib.sha256(repr(stages).encode()).hexdigest()[:16] == digest
 
 
 class TestHeuristicQuality:
