@@ -46,15 +46,6 @@ from repro.sfq.multiphase import edge_dffs
 from repro.sfq.netlist import CellKind, NetlistStructure, SFQNetlist, Signal
 
 
-def _Structure(netlist: SFQNetlist) -> NetlistStructure:
-    """Deprecated alias: the structure view now lives on the netlist.
-
-    The per-call fanin/fanout extraction this class performed is replaced
-    by the epoch-cached :meth:`repro.sfq.netlist.SFQNetlist.structure`.
-    """
-    return netlist.structure()
-
-
 # ---------------------------------------------------------------------------
 # true-cost evaluation (matches what DFF insertion will materialise)
 # ---------------------------------------------------------------------------
@@ -123,6 +114,9 @@ class HeuristicReport:
     #: probes that moved the PO boundary (kernel heuristic only; the
     #: seed reference snapshots the boundary per sweep and leaves it 0)
     boundary_shifts: int = 0
+    #: visited cells whose candidates were priced, one
+    #: ``StageSchedule.best_stage`` call each (kernel heuristic only)
+    cells_priced: int = 0
 
 
 def _candidate_stages(
@@ -209,11 +203,13 @@ def assign_stages_heuristic(
 ) -> HeuristicReport:
     """ASAP + iterative per-cell improvement; sets ``cell.stage`` in place.
 
-    Runs on the :class:`~repro.core.schedule.StageSchedule` kernel: every
-    candidate stage is priced by delta evaluation against the maintained
-    cost terms, and the PO boundary stays current across moves instead of
-    being snapshotted once per sweep (the seed implementation's stale
-    boundary could misprice moves near the schedule's deep end).
+    Runs on the :class:`~repro.core.schedule.StageSchedule` kernel: one
+    :meth:`~repro.core.schedule.StageSchedule.best_stage` call per visited
+    cell prices its candidate stages by delta evaluation against the
+    maintained cost terms and picks the move, and the PO boundary stays
+    current across moves instead of being snapshotted once per sweep (the
+    seed implementation's stale boundary could misprice moves near the
+    schedule's deep end).
 
     ``free_pi_phases`` lets a primary input arrive at any phase of epoch 0
     (stage 0..n−1) instead of pinning it to phase 0 — the environment can
@@ -244,23 +240,10 @@ def assign_stages_heuristic(
             cands = _candidate_stages(
                 st, stages, x, lb, ub, is_pi, n, max_candidates
             )
-            current = stages[x]
-            best_stage = current
-            g_inf, g_fin = kernel.state()
-            inc_inf = kernel.incident_inf(x) if g_inf else 0
-            # the seed's local comparison key: INF while any term incident
-            # to x is infeasible, the finite cost sum otherwise
-            best_cost = INF if inc_inf else g_fin
-            for cand in sorted(cands):
-                if cand == current:
-                    continue
-                c_inf, c_fin = kernel.state_if_moved(x, cand)
-                cost = INF if inc_inf + (c_inf - g_inf) else c_fin
-                if cost < best_cost - 1e-9:
-                    best_cost = cost
-                    best_stage = cand
-            if best_stage != current:
-                kernel.apply_move(x, best_stage)  # type: ignore[arg-type]
+            report.cells_priced += 1
+            best = kernel.best_stage(x, cands)
+            if best != stages[x]:
+                kernel.apply_move(x, best)
                 improved = True
         if not improved:
             break

@@ -28,11 +28,16 @@ the cost terms instead, exploiting three structural facts:
   by exact driver stage, and prices a boundary shift from those counts
   (a cumulative per-stage profile instead of per-net repricing).
 
-:meth:`cost_if_moved` prices a candidate without mutating anything;
-:meth:`apply_move` commits it.  A probe touches only the terms incident
-to the moved cell, plus O(n + |Δb|) count lookups when it shifts the PO
-boundary, so a sweep costs O(moves × changed terms) instead of
-O(moves × candidates × incident-edges).
+:meth:`best_stage` picks a cell's move without mutating anything and
+:meth:`apply_move` commits it.  One call gathers the terms incident to
+the cell once — its driven nets' consumer extremes, the other
+consumers' extremes of the nets it consumes, its T1 terms and the top of
+the stage histogram — and then prices each candidate stage from that
+gather alone, plus O(n + |Δb|) count lookups when a candidate shifts
+the PO boundary.  A sweep costs O(cells × (incident terms + candidates
+× changed terms)) instead of O(moves × candidates × incident-edges).
+:meth:`state_if_moved` / :meth:`cost_if_moved` price a single candidate
+through the same pass.
 
 The T1 staggering cost is memoised *per kernel instance* (the memo dies
 with the schedule), unlike the seed's unbounded module-global cache.
@@ -41,13 +46,17 @@ with the schedule), unlike the seed's unbounded module-global cache.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import TimingError
 from repro.sfq.multiphase import edge_dffs_unchecked
 from repro.sfq.netlist import CellKind, NetlistStructure, SFQNetlist, Signal
 
 INF = float("inf")
+
+#: extremes of an emptied consumer-stage multiset (beyond any stage)
+_NO_MIN = 1 << 62
+_NO_MAX = -_NO_MIN
 
 
 def t1_lower_bound(fanin_stages: Sequence[int]) -> int:
@@ -96,8 +105,8 @@ class _StageBag:
     """Multiset of consumer stages with maintained min/max.
 
     ``add``/``remove`` are O(1) except when an extreme value drains,
-    which rescans the (few) distinct stage values; ``peek_moved`` prices
-    a move without mutating.
+    which rescans the (few) distinct stage values; ``without`` gives the
+    extremes a move starts from, without mutating.
     """
 
     __slots__ = ("counts", "mn", "mx")
@@ -132,26 +141,24 @@ class _StageBag:
         if s == self.mn:
             self.mn = min(c)
 
-    def peek_moved(self, old: int, new: int, k: int = 1) -> Tuple[int, int]:
-        """(min, max) after moving *k* occurrences of *old* to *new*."""
-        c = self.counts
-        drained = c.get(old, 0) == k
-        mx = self.mx
-        if new >= mx:  # type: ignore[operator]
-            mx = new
-        elif old == mx and drained:
-            mx = new
-            for v in c:
-                if v != old and v > mx:
-                    mx = v
+    def without(self, old: int, k: int = 1) -> Tuple[int, int]:
+        """(min, max) of the entries left once *k* occurrences of *old*
+        are taken out, or ``(_NO_MIN, _NO_MAX)`` when none are left.
+
+        A move of those entries to stage ``s`` then has extremes
+        ``min(mn, s)`` and ``max(mx, s)`` for every ``s``.
+        """
         mn = self.mn
-        if new <= mn:  # type: ignore[operator]
-            mn = new
-        elif old == mn and drained:
-            mn = new
-            for v in c:
-                if v != old and v < mn:
-                    mn = v
+        mx = self.mx
+        c = self.counts
+        if c[old] == k and (old == mn or old == mx):
+            rest = [v for v in c if v != old]
+            if not rest:
+                return _NO_MIN, _NO_MAX
+            if old == mn:
+                mn = min(rest)
+            if old == mx:
+                mx = max(rest)
         return mn, mx  # type: ignore[return-value]
 
 
@@ -184,8 +191,9 @@ class StageSchedule:
     Owns ``stages`` (read it freely, mutate only through
     :meth:`apply_move`), the running total cost, and — when
     ``include_po_balancing`` — the PO boundary, kept current across
-    every move.  ``boundary_shifts`` counts the probes of
-    :meth:`state_if_moved` that moved the boundary.
+    every move.  ``moves_evaluated`` counts the candidate stages priced
+    by :meth:`best_stage` and :meth:`state_if_moved`, and
+    ``boundary_shifts`` those of them that moved the boundary.
     """
 
     def __init__(
@@ -311,39 +319,6 @@ class StageSchedule:
             return None
         return self._max_clocked + 1
 
-    def incident_inf(self, x: int) -> int:
-        """Infeasible terms among everything incident to cell *x*.
-
-        The incident set matches the seed heuristic's "affected" set: the
-        nets *x* drives, the nets behind its fanins (even when *x* is a
-        T1 and its own fanins are not part of those nets), and the T1
-        terms touching *x*.  Combined with the global delta of
-        :meth:`state_if_moved` this reconstructs the seed's local
-        comparison key exactly: only incident terms can change on a move,
-        so ``incident_inf(x) + (inf' - inf)`` is the candidate's incident
-        infeasibility count.
-        """
-        st = self.st
-        net_cost = self._net_cost
-        cnt = 0
-        seen: Set[Signal] = set()
-        for sig in st.signals_of_cell[x]:
-            seen.add(sig)
-            if net_cost[sig] == INF:
-                cnt += 1
-        for sig in st.fanin_signals[x]:
-            if sig in seen:
-                continue
-            seen.add(sig)
-            if net_cost.get(sig) == INF:
-                cnt += 1
-        for t in st.t1_consumers[x]:
-            if self._t1_cost[t] == INF:
-                cnt += 1
-        if st.is_t1[x] and self._t1_cost[x] == INF:
-            cnt += 1
-        return cnt
-
     def _count_po(self, ds: int, k: int) -> None:
         """Add *k* feasible PO nets driven from stage *ds* to the counts."""
         self._po_by_residue[ds % self.n] += k
@@ -354,19 +329,20 @@ class StageSchedule:
         while at and not at[-1]:
             at.pop()
 
-    def _po_shift_delta(self, x: int, b0: int, b1: int) -> int:
-        """Finite-cost change of the PO nets *not* incident to *x* when
-        the boundary shifts ``b0 -> b1``.
+    def _po_shift_delta(self, b0: int, b1: int, skip: Sequence[int]) -> int:
+        """Finite-cost change of the feasible PO nets when the boundary
+        shifts ``b0 -> b1``, leaving out one net per driver stage in
+        *skip* (the moved cell's own PO nets, which the probe prices).
 
-        Every consumer of such a net sits below both boundaries, so its
-        term is ``f(b − σ_d)`` with ``f(g) = max(0, (g − 1)//n)`` and its
-        feasibility is fixed.  For ``σ_d < min(b0, b1)`` both gaps are
-        positive and, with ``σ_d = q·n + r``, ``(b − σ_d − 1)//n`` is
-        ``(b − r − 1)//n − q``: the change depends on the residue ``r``
-        alone.  Drivers at or above ``min(b0, b1)`` — the moved cell
-        itself, and PIs at a free phase where ``f`` clamps at zero — are
-        corrected from the exact-stage counts.  The nets incident to *x*
-        are taken out again: the probe's incident loops price them.
+        Every consumer of a PO net away from the moved cell sits below
+        both boundaries, so its term is ``f(b − σ_d)`` with
+        ``f(g) = max(0, (g − 1)//n)`` and its feasibility is fixed.  For
+        ``σ_d < min(b0, b1)`` both gaps are positive and, with
+        ``σ_d = q·n + r``, ``(b − σ_d − 1)//n`` is ``(b − r − 1)//n − q``:
+        the change depends on the residue ``r`` alone.  Drivers at or
+        above ``min(b0, b1)`` — the moved cell itself, and PIs at a free
+        phase where ``f`` clamps at zero — are corrected from the
+        exact-stage counts.
         """
         n = self.n
         delta = 0
@@ -381,28 +357,9 @@ class StageSchedule:
                 q0 = (b0 - d - 1) // n
                 q1 = (b1 - d - 1) // n
                 delta += c * (min(q0, 0) - min(q1, 0))
-        po_signals = self.st.po_signals
-        net_cost = self._net_cost
-        stages = self.stages
-        for sig in chain(self.st.signals_of_cell[x], self._consumed[x]):
-            if sig in po_signals and net_cost[sig] != INF:
-                ds: int = stages[sig[0]]  # type: ignore[assignment]
-                delta -= max(0, (b1 - ds - 1) // n) - max(0, (b0 - ds - 1) // n)
+        for ds in skip:
+            delta -= max(0, (b1 - ds - 1) // n) - max(0, (b0 - ds - 1) // n)
         return delta
-
-    def _peek_max_clocked(self, s0: int, s: int) -> int:
-        """Max clocked stage after moving one clocked cell s0 -> s."""
-        mx = self._max_clocked
-        if s >= mx:
-            return s
-        counts = self._stage_counts
-        if s0 == mx and counts[s0] == 1:
-            m = s
-            for v in counts:
-                if v != s0 and v > m:
-                    m = v
-            return m
-        return mx
 
     # -- move evaluation ----------------------------------------------------
 
@@ -414,92 +371,188 @@ class StageSchedule:
     def state_if_moved(self, x: int, s: int) -> Tuple[int, float]:
         """:meth:`state` if cell *x* moved to stage *s* (no mutation).
 
-        O(terms incident to x), plus O(n + |Δb|) count lookups when the
-        move shifts the PO boundary itself (see :meth:`_po_shift_delta`).
+        A one-candidate :meth:`best_stage` pricing pass.
         """
-        s0 = self.stages[x]
-        if s == s0:
+        if s == self.stages[x]:
             return self.state()
-        self.moves_evaluated += 1
+        return self._price(x, (s,))[1]
+
+    def best_stage(self, x: int, candidates: Iterable[int]) -> int:
+        """The stage the coordinate-descent heuristic moves cell *x* to.
+
+        Prices the distinct *candidates* in ascending order (the current
+        stage is skipped and never counted) without mutating anything, and
+        returns the first one whose key beats the current position's by
+        more than 1e-9 and every earlier winner's — the current stage
+        when none does.  The key is the seed heuristic's local
+        comparison: INF while any term incident to *x* is infeasible,
+        the finite cost sum otherwise.  The incident set is the seed's
+        "affected" set: the nets *x* drives, the nets behind its fanins
+        (even when *x* is a T1 and its own fanins are not part of those
+        nets), and the T1 terms touching *x*.
+        """
+        s0: int = self.stages[x]  # type: ignore[assignment]
+        moves = sorted(s for s in candidates if s != s0)
+        return self._price(x, moves)[0] if moves else s0
+
+    def _price(
+        self, x: int, cands: Sequence[int]
+    ) -> Tuple[int, Tuple[int, float]]:
+        """Price the ascending stages *cands* of cell *x* (none of them
+        its current stage) in one gather.
+
+        Returns the :meth:`best_stage` winner and the :meth:`state` after
+        the last priced candidate.  The terms incident to *x* are read
+        once; each candidate then costs O(incident terms), plus
+        O(n + |Δb|) count lookups when it shifts the PO boundary (see
+        :meth:`_po_shift_delta`).  Counts one :attr:`moves_evaluated` per
+        priced candidate and one :attr:`boundary_shifts` per candidate
+        that moves the boundary.
+        """
         st = self.st
         stages = self.stages
         n = self.n
-        inf = self._inf_terms
-        fin = self._finite
-        b0 = self.boundary()
-        b1 = b0
-        if self.include_po and st.clocked[x]:
-            b1 = self._peek_max_clocked(s0, s) + 1  # type: ignore[arg-type]
-        po_signals = st.po_signals
-        # nets driven by x: only the driver stage changes
+        s0: int = stages[x]  # type: ignore[assignment]
+        net_cost = self._net_cost
+        t1_cost = self._t1_cost
+        bags = self._bags
+        po_signals = st.po_signals if self.include_po else ()
+        # -- gather: every incident term, with its current cost
+        old_inf = 0  # infeasible terms among those a move reprices
+        old_fin = 0.0  # their finite sum
+        po_ds: List[int] = []  # driver stages of x's feasible PO nets
+        driven = []  # (consumer min, max or None, PO?) per net x drives
         for sig in st.signals_of_cell[x]:
-            bag = self._bags[sig]
-            new = _net_term_cost(
-                s, bag.mn, bag.mx, b1 if sig in po_signals else None, n
-            )
-            old = self._net_cost[sig]
-            if old != new:
-                if old == INF:
-                    inf -= 1
-                else:
-                    fin -= old
-                if new == INF:
-                    inf += 1
-                else:
-                    fin += new
-        # nets x consumes: one consumer entry moves in the stage multiset
+            bag = bags[sig]
+            po = sig in po_signals
+            driven.append((bag.mn, bag.mx, po))
+            c = net_cost[sig]
+            if c == INF:
+                old_inf += 1
+            else:
+                old_fin += c
+                if po:
+                    po_ds.append(s0)
+        consumed = []  # (driver stage, other consumers' min, max, PO?)
         for sig, k in self._consumed[x].items():
-            bag = self._bags[sig]
-            mn, mx = bag.peek_moved(s0, s, k)  # type: ignore[arg-type]
-            new = _net_term_cost(
-                stages[sig[0]],  # type: ignore[arg-type]
-                mn,
-                mx,
-                b1 if sig in po_signals else None,
-                n,
-            )
-            old = self._net_cost[sig]
-            if old != new:
-                if old == INF:
-                    inf -= 1
-                else:
-                    fin -= old
-                if new == INF:
-                    inf += 1
-                else:
-                    fin += new
-        # T1 terms fed by x (and x's own term when x is a T1)
+            ds: int = stages[sig[0]]  # type: ignore[assignment]
+            po = sig in po_signals
+            consumed.append((ds, *bags[sig].without(s0, k), po))
+            c = net_cost[sig]
+            if c == INF:
+                old_inf += 1
+            else:
+                old_fin += c
+                if po:
+                    po_ds.append(ds)
+        fed = []  # (T1 stage, its other fanin stages, fanins x drives)
         for t in st.t1_consumers[x]:
-            fins = [s if d == x else stages[d] for d in st.fanin_drivers[t]]
-            new = self._t1(stages[t], fins)  # type: ignore[arg-type]
-            old = self._t1_cost[t]
-            if old != new:
-                if old == INF:
-                    inf -= 1
-                else:
-                    fin -= old
-                if new == INF:
-                    inf += 1
-                else:
-                    fin += new
+            drivers = st.fanin_drivers[t]
+            fed.append(
+                (
+                    stages[t],
+                    [stages[d] for d in drivers if d != x],
+                    drivers.count(x),
+                )
+            )
+            c = t1_cost[t]
+            if c == INF:
+                old_inf += 1
+            else:
+                old_fin += c
+        own_fins = None
+        fixed_inf = 0  # infeasible nets behind a T1's fanins: never repriced
         if st.is_t1[x]:
-            fins = [stages[d] for d in st.fanin_drivers[x]]
-            new = self._t1(s, fins)  # type: ignore[arg-type]
-            old = self._t1_cost[x]
-            if old != new:
-                if old == INF:
-                    inf -= 1
-                else:
-                    fin -= old
-                if new == INF:
+            own_fins = [stages[d] for d in st.fanin_drivers[x]]
+            c = t1_cost[x]
+            if c == INF:
+                old_inf += 1
+            else:
+                old_fin += c
+            for sig in set(st.fanin_signals[x]):
+                if net_cost.get(sig) == INF:
+                    fixed_inf += 1
+        # the stage-histogram top the boundary follows
+        b0 = self.boundary()
+        track = self.include_po and st.clocked[x]
+        top = self._max_clocked
+        below_top: Optional[int] = None  # next stage down when x alone is top
+        if track and s0 == top and self._stage_counts[s0] == 1:
+            below_top = max(
+                (v for v in self._stage_counts if v != s0), default=_NO_MAX
+            )
+        t1 = self._t1
+        g_inf = self._inf_terms
+        g_fin = self._finite
+        best = s0
+        best_key = INF if old_inf + fixed_inf else g_fin
+        last = (g_inf, g_fin)
+        shifts = 0
+        shift_b1 = shift_delta = None  # the last boundary shift priced
+        for s in cands:
+            b1 = b0
+            if track:
+                if s >= top:
+                    b1 = s + 1
+                elif below_top is not None:
+                    b1 = (s if s > below_top else below_top) + 1
+            inf = 0
+            fin = 0.0
+            for mn, mx, po in driven:
+                worst = 0
+                if mx is not None:
+                    if mn - s < 1:
+                        inf += 1
+                        continue
+                    worst = (mx - s - 1) // n
+                if po:
+                    gap = b1 - s  # type: ignore[operator]
+                    if gap >= 1:
+                        w = (gap - 1) // n
+                        if w > worst:
+                            worst = w
+                fin += worst
+            for ds, mn, mx, po in consumed:
+                if (s if s < mn else mn) - ds < 1:
+                    inf += 1
+                    continue
+                worst = ((s if s > mx else mx) - ds - 1) // n
+                if po:
+                    gap = b1 - ds  # type: ignore[operator]
+                    if gap >= 1:
+                        w = (gap - 1) // n
+                        if w > worst:
+                            worst = w
+                fin += worst
+            for ts, others, k in fed:
+                c = t1(ts, others + [s] * k)  # type: ignore[arg-type]
+                if c == INF:
                     inf += 1
                 else:
-                    fin += new
-        # a boundary shift reprices the remaining PO nets by aggregate
-        if b1 != b0:
-            self.boundary_shifts += 1
-            fin += self._po_shift_delta(x, b0, b1)  # type: ignore[arg-type]
-        return inf, fin
+                    fin += c
+            if own_fins is not None:
+                c = t1(s, own_fins)  # type: ignore[arg-type]
+                if c == INF:
+                    inf += 1
+                else:
+                    fin += c
+            c_fin = g_fin - old_fin + fin
+            if b1 != b0:
+                shifts += 1
+                if b1 != shift_b1:
+                    shift_b1 = b1
+                    shift_delta = self._po_shift_delta(
+                        b0, b1, po_ds  # type: ignore[arg-type]
+                    )
+                c_fin += shift_delta  # type: ignore[operator]
+            last = (g_inf - old_inf + inf, c_fin)
+            key = INF if fixed_inf + inf else c_fin
+            if key < best_key - 1e-9:
+                best_key = key
+                best = s
+        self.moves_evaluated += len(cands)
+        self.boundary_shifts += shifts
+        return best, last
 
     def apply_move(self, x: int, s: int) -> None:
         """Commit the move of cell *x* to stage *s*, updating every term."""
@@ -585,12 +638,12 @@ class StageSchedule:
     def _set_term_cost(self, store: Dict, key, new: float) -> None:
         """Replace one cost term in *store*, adjusting the running totals.
 
-        The same inf-count/finite-sum adjustment is inlined (on local
-        accumulators) in :meth:`state_if_moved`'s incident loops, and
+        :meth:`_price` reprices the incident terms with the net-term
+        arithmetic of :func:`_net_term_cost` inlined, and
         :meth:`_po_shift_delta` prices every other PO term from the
         feasible-PO counts, which :meth:`apply_move` updates around this
-        call for x's PO nets — keep all three in lockstep or the
-        maintained total diverges from :meth:`recompute_total`.
+        call for x's PO nets — keep all three in lockstep or probes
+        diverge from the committed :meth:`state`.
         """
         old = store[key]
         if old == new:

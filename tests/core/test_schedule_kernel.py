@@ -14,17 +14,20 @@ import pytest
 
 from repro.core.dff_insertion import insert_dffs
 from repro.core.phase_assignment import (
+    _candidate_stages,
+    _move_window,
     _net_cost,
     assign_stages_heuristic,
     assign_stages_ilp,
     assign_stages_rescan_reference,
     assign_stages,
+    t1_stagger_cost,
 )
-from repro.core.schedule import StageSchedule
+from repro.core.schedule import INF, StageSchedule
 from repro.errors import TimingError
 from repro.network.gates import Gate
 from repro.sfq.multiphase import edge_dffs
-from repro.sfq.netlist import OUT, SFQNetlist
+from repro.sfq.netlist import OUT, CellKind, SFQNetlist
 
 
 def random_netlist(seed, n_phases, n_pi=4, n_gates=12, n_t1=2, n_po=3):
@@ -195,6 +198,194 @@ class TestDeltaEquivalence:
             k = StageSchedule(nl)
             assert k.total() == k.recompute_total()
             k.check_invariants()
+
+
+def incident_infeasible(k, x):
+    """From scratch: is any net or T1 term incident to cell *x*
+    infeasible at the live boundary?  The incident set is the seed
+    heuristic's: the nets x drives, the nets behind its fanins, and the
+    T1 terms touching x."""
+    st, stages, b = k.st, k.stages, k.boundary()
+    for sig in set(st.signals_of_cell[x]) | set(st.fanin_signals[x]):
+        cons = st.nets.get(sig)
+        if cons is None:
+            continue  # feeds only T1 cells
+        po_b = b if sig in st.po_signals else None
+        cost = _net_cost(stages[sig[0]], [stages[c] for c in cons], k.n, po_b)
+        if cost == INF:
+            return True
+    t1s = set(st.t1_consumers[x]) | ({x} if st.is_t1[x] else set())
+    return any(
+        t1_stagger_cost(stages[t], [stages[d] for d in st.fanin_drivers[t]], k.n)
+        == INF
+        for t in t1s
+    )
+
+
+def brute_best_stage(k, x, cands):
+    """Apply every candidate, read the state, move back: the heuristic's
+    key (INF while an incident term is infeasible, the finite sum
+    otherwise) with its strict ``< best − 1e-9`` tie-break.  Returns the
+    winner, the committed state per priced candidate and the number of
+    candidates that moved the boundary."""
+    s0, b0 = k.stages[x], k.boundary()
+    best = s0
+    best_key = INF if incident_infeasible(k, x) else k.state()[1]
+    states = {}
+    shifting = 0
+    for s in sorted(cands):
+        if s == s0:
+            continue
+        k.apply_move(x, s)
+        states[s] = k.state()
+        shifting += k.boundary() != b0
+        key = INF if incident_infeasible(k, x) else k.state()[1]
+        k.apply_move(x, s0)
+        if key < best_key - 1e-9:
+            best_key, best = key, s
+    return best, states, shifting
+
+
+def check_best_stage(k, x, cands):
+    """best_stage == brute force; the call mutates nothing and counts
+    exactly the candidates it priced and the ones that shifted.  The
+    same pricing pass, one candidate at a time, predicts each committed
+    state."""
+    want, states, shifting = brute_best_stage(k, x, cands)
+    before = (list(k.stages), k.state(), k.boundary(), k.moves_applied)
+    evaluated, shifts = k.moves_evaluated, k.boundary_shifts
+    assert k.best_stage(x, cands) == want
+    assert (list(k.stages), k.state(), k.boundary(), k.moves_applied) == before
+    assert k.moves_evaluated - evaluated == len(states)
+    assert k.boundary_shifts - shifts == shifting
+    k.check_invariants()
+    for s, state in states.items():
+        assert k.state_if_moved(x, s) == state
+    return want
+
+
+def window_candidates(k, x, extra_above=0):
+    """The heuristic's candidate set for x, plus *extra_above* stages
+    past the top of its window (beyond the boundary for a cell with no
+    consumers)."""
+    st = k.st
+    is_pi = k.netlist.cells[x].kind is CellKind.PI
+    lb, ub = _move_window(st, k.stages, x, is_pi, k.boundary(), k.n)
+    if ub < lb:
+        return set()
+    cands = _candidate_stages(st, k.stages, x, lb, ub, is_pi, k.n, 160)
+    cands.update(range(ub + 1, ub + 1 + extra_above))
+    return cands
+
+
+class TestBestStage:
+    """One best_stage call == brute force over the same candidates."""
+
+    @pytest.mark.parametrize("include_po", [True, False])
+    @pytest.mark.parametrize("n_phases", [1, 2, 3, 4])
+    def test_random_states_match_brute_force(self, n_phases, include_po):
+        nl = random_netlist(60 + n_phases, n_phases, n_gates=16, n_t1=3, n_po=5)
+        k = StageSchedule(nl, include_po_balancing=include_po)
+        st = k.st
+        cells = [
+            i for i in range(len(nl.cells))
+            if st.clocked[i] or nl.cells[i].kind is CellKind.PI
+        ]
+        movable = [i for i in cells if st.clocked[i]]
+        rng = random.Random(n_phases)
+        seen = set()
+        for step in range(120):
+            # wander through feasible and infeasible states
+            y = rng.choice(movable)
+            k.apply_move(y, max(1, k.stages[y] + rng.randint(-2, 3)))
+            x = rng.choice(cells)
+            cands = window_candidates(k, x, extra_above=step % 3)
+            if not cands:
+                continue
+            before = k.boundary_shifts
+            best = check_best_stage(k, x, cands)
+            seen.add("moved" if best != k.stages[x] else "stayed")
+            if k.boundary_shifts != before:
+                seen.add("shift")
+            if k.state()[0]:
+                seen.add("infeasible state")
+            if nl.cells[x].kind is CellKind.PI:
+                seen.add("pi")
+            if st.is_t1[x]:
+                seen.add("t1")
+            if st.t1_consumers[x]:
+                seen.add("feeds t1")
+        want = {"moved", "stayed", "infeasible state", "pi"}
+        if include_po:
+            want.add("shift")
+        if n_phases >= 3:
+            want |= {"t1", "feeds t1"}
+        assert want <= seen
+
+    def test_sole_extreme_with_multiplicity_two(self):
+        """g2 consumes g1's net on both fanins and alone holds the net's
+        min, then its max: every candidate drains that extreme; g6 is
+        the whole of g5's consumer bag."""
+        nl = SFQNetlist("mult2", n_phases=4)
+        a = (nl.add_pi(), OUT)
+        g1 = (nl.add_gate(Gate.AND, [a]), OUT)
+        g2 = nl.add_gate(Gate.AND, [g1, g1])
+        g3 = nl.add_gate(Gate.AND, [g1])
+        g4 = nl.add_gate(Gate.AND, [(g3, OUT), (g2, OUT)])
+        nl.add_po((g4, OUT))
+        # g6 is the only consumer of g5's net, on both fanins
+        g5 = (nl.add_gate(Gate.AND, [a]), OUT)
+        g6 = nl.add_gate(Gate.AND, [g5, g5])
+        nl.add_po((g6, OUT))
+        k = StageSchedule(nl)
+        k.apply_move(g4, 9)
+        k.apply_move(g3, 5)
+        bag = k._bags[g1]
+        assert (bag.counts[k.stages[g2]], bag.mn) == (2, k.stages[g2])
+        for cands in (window_candidates(k, g2), {3, 4, 5, 6, 7, 8}):
+            check_best_stage(k, g2, cands)
+        k.apply_move(g2, 7)
+        assert (bag.counts[7], bag.mx) == (2, 7)
+        check_best_stage(k, g2, window_candidates(k, g2) | {2, 3, 5, 6})
+        # the move takes every entry out of g5's consumer bag
+        assert k._bags[g5].counts == {k.stages[g6]: 2}
+        check_best_stage(k, g6, window_candidates(k, g6, 2) | {1, 2})
+
+    def test_unique_deepest_cell_lowers_the_boundary(self):
+        """The deepest cell drives a PO alone at the top of the stage
+        histogram: a candidate below it lowers the boundary to the next
+        stage down, one above it raises the boundary past the window."""
+        nl = SFQNetlist("deep", n_phases=2)
+        p = (nl.add_pi(), OUT)
+        g1 = (nl.add_gate(Gate.AND, [p]), OUT)
+        g2 = nl.add_gate(Gate.AND, [g1])
+        h = nl.add_gate(Gate.AND, [g1])
+        nl.add_po((g2, OUT))
+        nl.add_po((h, OUT))
+        k = StageSchedule(nl)
+        k.apply_move(g2, 9)
+        k.apply_move(h, 4)
+        assert k.boundary() == 10 and k._stage_counts[9] == 1
+        before = k.boundary_shifts
+        assert check_best_stage(k, g2, window_candidates(k, g2, 3)) != 9
+        assert k.boundary_shifts - before > 1
+        # the deepest cell is the only clocked cell at its stage and the
+        # next one down sits right below it
+        k.apply_move(h, 8)
+        check_best_stage(k, g2, set(range(2, 14)))
+        # ... and a tie at the top keeps the boundary where it is
+        k.apply_move(h, 9)
+        before = k.boundary_shifts
+        check_best_stage(k, g2, set(range(2, 9)))
+        assert k.boundary_shifts == before
+
+    def test_current_stage_only_prices_nothing(self):
+        nl = random_netlist(2, 4)
+        k = StageSchedule(nl)
+        x = next(i for i in range(len(nl.cells)) if k.st.clocked[i])
+        assert k.best_stage(x, {k.stages[x]}) == k.stages[x]
+        assert k.best_stage(x, ()) == k.stages[x]
+        assert k.moves_evaluated == 0
 
 
 class TestLiveBoundary:
